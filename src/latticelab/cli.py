@@ -243,16 +243,12 @@ def cmd_solvable(args, config):
     m = args.m if args.m is not None else len(primes)
     cert = solvable.lattice_certificate(primes, m_max=m)
     return {
-        "covolume": covol_str(solvable.covolume_product(primes, m)),
-        "covolume_vs_counting": covol_str(solvable.covolume_vs_counting(primes, m)),
+        "covolume": solvable.covolume_product(primes, m),
+        "covolume_vs_counting": solvable.covolume_vs_counting(primes, m),
         "indices": [solvable.indices(primes, k) for k in range(1, m + 1)],
         "certificate": cert,
         "closure_check": solvable.gamma_closure_check(primes),
     }
-
-
-def covol_str(fr):
-    return "%d/%d" % (fr.numerator, fr.denominator)
 
 
 def cmd_heisenberg(args, config):

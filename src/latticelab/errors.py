@@ -18,7 +18,14 @@ class PreconditionError(LatticeLabError):
 
 
 class CapExceededError(LatticeLabError):
-    """An enumeration grew past its configured cap (reported, never looped)."""
+    """An enumeration grew past its configured cap (reported, never looped).
+
+    `entries` holds what the enumeration had kept when it stopped, if given.
+    """
+
+    def __init__(self, message, entries=None):
+        super().__init__(message)
+        self.entries = entries
 
 
 class NotDiscreteError(LatticeLabError):

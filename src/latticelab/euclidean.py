@@ -11,12 +11,14 @@ import math
 
 import numpy as np
 
+from . import mat2
 from .errors import CapExceededError, NotDiscreteError, PreconditionError
+from .wordballs import FinitelyGeneratedGroup, _bfs
 
 EQ_TOL = 1e-8
 
 
-class EuclideanIsometry:
+class EuclideanIsometry(mat2.Keyed):
     """x -> Ox + t with O orthogonal."""
 
     __slots__ = ("o", "t", "n")
@@ -57,18 +59,8 @@ class EuclideanIsometry:
         return (np.linalg.norm(self.o - np.eye(self.n)) <= tol
                 and np.linalg.norm(self.t) <= tol)
 
-    def __eq__(self, other):
-        if not isinstance(other, EuclideanIsometry):
-            return NotImplemented
-        return (np.abs(self.o - other.o).max() <= EQ_TOL
-                and np.abs(self.t - other.t).max() <= EQ_TOL)
-
-    def __hash__(self):
-        return hash(self.dedup_key())
-
-    def dedup_key(self, grid=1e-6):
-        return (tuple(np.round(self.o / grid).astype(np.int64).ravel().tolist()),
-                tuple(np.round(self.t / grid).astype(np.int64).ravel().tolist()))
+    def key_entries(self):
+        return tuple(self.o.ravel().tolist() + self.t.tolist())
 
     def commutes_with(self, other, tol=EQ_TOL):
         ab, ba = self * other, other * self
@@ -218,46 +210,23 @@ def crystallographic_analysis(gens, word_cutoff, element_cap=10**4, point_group_
     """
     if word_cutoff < 1:
         raise PreconditionError("cutoff must be >= 1")
-    sym = []
-    seen_gen = set()
-    for g in gens:
-        for h in (g, g.inverse()):
-            k = h.dedup_key()
-            if k not in seen_gen:
-                seen_gen.add(k)
-                sym.append(h)
+    group = FinitelyGeneratedGroup(gens)
     n = gens[0].n
-    identity = EuclideanIsometry(np.eye(n), np.zeros(n))
-    elements = {identity.dedup_key(): identity}
-    frontier = [identity]
-    cap_exceeded = False
-    for _ in range(word_cutoff):
-        nxt = []
-        for e in frontier:
-            for s in sym:
-                w = e * s
-                k = w.dedup_key()
-                if k not in elements:
-                    elements[k] = w
-                    nxt.append(w)
-                    if len(elements) > element_cap:
-                        cap_exceeded = True
-                        nxt = []
-                        break
-            if cap_exceeded:
-                break
-        frontier = nxt
-        if cap_exceeded or not frontier:
-            break
+    try:
+        entries = _bfs(group.identity(), group.symmetric_generators(), radius=word_cutoff,
+                       cap=element_cap)
+        cap_exceeded = False
+    except CapExceededError as err:
+        entries, cap_exceeded = err.entries, True
+    elements = [e for _, e in entries]
 
     translations = []
     point_parts = {}
-    for e in elements.values():
+    for e in elements:
         is_pure = np.abs(e.o - np.eye(n)).max() <= EQ_TOL
         if is_pure and np.linalg.norm(e.t) > EQ_TOL:
             translations.append(e.t)
-        key = tuple(np.round(e.o / 1e-6).astype(np.int64).ravel().tolist())
-        point_parts.setdefault(key, np.eye(n) if is_pure else e.o)
+        point_parts.setdefault(mat2.quantize(e.o.ravel().tolist()), np.eye(n) if is_pure else e.o)
         if len(point_parts) > point_group_cap:
             raise NotDiscreteError(
                 "orthogonal-part closure exceeded %d elements: not discrete at this tolerance"

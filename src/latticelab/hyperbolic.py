@@ -90,7 +90,7 @@ def distance(p, q):
     return math.acosh(max(arg, 1.0))
 
 
-class MoebiusIsometry:
+class MoebiusIsometry(mat2.Keyed):
     """Projectivized determinant-one 2x2 matrix acting on H^2 (real entries)
     or H^3 (complex entries; real matrices embed as isometries fixing the
     vertical plane)."""
@@ -117,16 +117,6 @@ class MoebiusIsometry:
     def inverse(self):
         return MoebiusIsometry(mat2.inv_det1(self.m))
 
-    def __eq__(self, other):
-        if not isinstance(other, MoebiusIsometry):
-            return NotImplemented
-        if self.exact and other.exact:
-            return self.m == other.m
-        return all(abs(complex(x) - complex(y)) <= 1e-8 for x, y in zip(self.m, other.m))
-
-    def __hash__(self):
-        return hash(mat2.key(self.m))
-
     def __repr__(self):
         return "MoebiusIsometry(%r)" % (self.m,)
 
@@ -142,8 +132,8 @@ class MoebiusIsometry:
             return self.m in ((1, 0, 0, 1), (-1, 0, 0, -1))
         return mat2.frobenius_dist_to_identity(mat2.canonicalize_sign(self.m)) <= tol
 
-    def dedup_key(self, grid=1e-6):
-        return mat2.key(self.m, grid=grid)
+    def key_entries(self):
+        return self.m    # sign-canonical since __init__
 
     # -- action -----------------------------------------------------------
     def apply(self, p):
@@ -156,16 +146,6 @@ class MoebiusIsometry:
         den = abs(c * p.z + d) ** 2 + abs(c) ** 2 * p.t ** 2
         z = ((a * p.z + b) * (c * p.z + d).conjugate() + a * c.conjugate() * p.t ** 2) / den
         return HPoint(z.real, z.imag, p.t / den)
-
-    def apply_boundary(self, z):
-        """Action on the boundary (complex plane plus infinity)."""
-        a, b, c, d = (complex(x) for x in self.m)
-        if z == INFINITY:
-            return a / c if c != 0 else INFINITY
-        den = c * z + d
-        if den == 0:
-            return INFINITY
-        return (a * z + b) / den
 
 
 def displacement(g, p):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import hyperbolic
+from . import hyperbolic, mat2
 from .errors import InvalidPointError
 
 
@@ -53,7 +53,7 @@ def hdistance(x, y):
     return math.acosh(max(-q_inner(x, y), 1.0))
 
 
-class LorentzIsometry:
+class LorentzIsometry(mat2.Keyed):
     """Matrix in O(n,1)^+ : preserves Q and the upper sheet."""
 
     __slots__ = ("a", "n")
@@ -86,8 +86,8 @@ class LorentzIsometry:
     def is_identity(self, tol=1e-9):
         return np.linalg.norm(self.a - np.eye(self.n + 1)) <= tol
 
-    def dedup_key(self, grid=1e-6):
-        return tuple(np.round(self.a / grid).astype(np.int64).ravel().tolist())
+    def key_entries(self):
+        return tuple(self.a.ravel().tolist())
 
     def __repr__(self):
         return "LorentzIsometry(n=%d)" % self.n

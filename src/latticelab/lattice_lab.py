@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from . import hyperbolic
+from . import hyperbolic, mat2
 from .errors import DomainError, PreconditionError
 from .hyperbolic import ELLIPTIC, HYPERBOLIC, IDENTITY, PARABOLIC, HPoint
 from .wordballs import displacements_at, stack_moebius, word_ball
@@ -438,11 +438,8 @@ def recurrence_search_sl2z(g, epsilon, horizon):
     gm = tuple(float(x) for x in g.m)
     hits = []
     for n in range(1, horizon + 1):
-        a, b, c, d = acc
-        e, f, gg, h = gm
-        acc = (a * e + b * gg, a * f + b * h, c * e + d * gg, c * f + d * h)
-        det = acc[0] * acc[3] - acc[1] * acc[2]
-        acc = tuple(x / math.sqrt(abs(det)) for x in acc)
+        acc = mat2.mul(acc, gm)
+        acc = tuple(x / math.sqrt(abs(mat2.det(acc))) for x in acc)
         cand = tuple(int(round(x)) for x in acc)
         if cand[0] * cand[3] - cand[1] * cand[2] != 1:
             continue

@@ -3,13 +3,23 @@
 Moebius elements are stored as flat 4-tuples (a, b, c, d) so the same code
 path serves exact entries (int / Fraction), floats and complexes.  Heavier
 batch work converts to numpy arrays at the call site; these helpers stay
-scalar on purpose.
+scalar on purpose.  The identity rule of every group element (`GRID`,
+`quantize`, `Keyed`) lives here too, below every isometry module.
 """
 
 from fractions import Fraction
 import math
 
 from .errors import DimensionMismatchError
+
+# The identity rule: float elements are the same element when their entries
+# round to the same multiples of GRID; exact entries compare exactly.  Distinct
+# elements of the groups enumerated here differ by far more than GRID.
+GRID = 1e-6
+
+# A float entry within STRADDLE * (1 + |x|) of a half-cell boundary may round
+# either way under float error, so enumeration lookups probe both cells.
+STRADDLE = 1e-9
 
 
 def mul(m, n):
@@ -92,27 +102,37 @@ def frobenius_dist_to_identity(m):
     return math.sqrt(abs(a - 1) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d - 1) ** 2)
 
 
-def frobenius(m):
-    return math.sqrt(sum(abs(x) ** 2 for x in m))
-
-
-def key(m, grid=1e-6):
-    """Hashable dedup key identifying m with -m.
-
-    Exact entries key exactly; floats quantize onto `grid`.  Two distinct
-    group elements closer than `grid` entrywise would collide, so callers
-    pick `grid` below the least separation of the groups they enumerate.
-    """
-    m = canonicalize_sign(m)
-    if is_exact(m):
-        return m
+def quantize(xs):
+    """Dedup key of a flat entry sequence under the identity rule: exact
+    entries stay as they are, floats (and both parts of complexes) become
+    their nearest multiples of GRID."""
     out = []
-    for x in m:
-        if isinstance(x, complex):
-            out.append((round(x.real / grid), round(x.imag / grid)))
+    for x in xs:
+        if isinstance(x, float):
+            out.append(round(x / GRID))
+        elif isinstance(x, complex):
+            out.append((round(x.real / GRID), round(x.imag / GRID)))
         else:
-            out.append(round(x / grid))
+            out.append(x)
     return tuple(out)
+
+
+class Keyed:
+    """Equality and hashing under the identity rule for elements that define
+    key_entries(), their flat identifying entries; equal elements hash equal."""
+
+    __slots__ = ()
+
+    def dedup_key(self):
+        return quantize(self.key_entries())
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dedup_key() == other.dedup_key()
+
+    def __hash__(self):
+        return hash(self.dedup_key())
 
 
 def as_tuple(mat):

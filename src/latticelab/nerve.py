@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceededError, PreconditionError
 from .hyperbolic import HPoint
-from .wordballs import displacement_pruned_ball
+from .wordballs import displacement_pruned_ball, stack_moebius
 
 
 # -- metric contexts ---------------------------------------------------------
@@ -162,9 +162,7 @@ class SurfaceMetric:
         self.base = base
         keep = 2.0 * region_radius + interaction_radius + 0.1
         self.deck = displacement_pruned_ball(group, base, keep, slack=slack)
-        m = np.array([[complex(e.m[0]), complex(e.m[1]), complex(e.m[2]), complex(e.m[3])]
-                      for e in self.deck])
-        self._abcd = (m[:, 0], m[:, 1], m[:, 2], m[:, 3])
+        self._abcd = stack_moebius(self.deck)
         self.systole_guard = interaction_radius
 
     def translates(self, p):
@@ -182,10 +180,8 @@ class SurfaceMetric:
     def nearest_lift(self, x, y):
         """The deck translate of y nearest to x (unique when the relevant
         distances stay below half the systole)."""
-        ds = self._dist_to_translates(x, self.translates(y))
-        i = int(np.argmin(ds))
-        w = self.translates(y)[i]
-        return complex(w)
+        ts = self.translates(y)
+        return complex(ts[int(np.argmin(self._dist_to_translates(x, ts)))])
 
     def minimax_radius(self, x, y, z):
         return _h2_minimax([x.z, self.nearest_lift(x, y), self.nearest_lift(x, z)])

@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
-from . import hyperbolic
-from .errors import CapExceededError, PreconditionError
+from . import hyperbolic, mat2
+from .errors import PreconditionError
 from .lattice_lab import BallGeometry
-from .wordballs import FinitelyGeneratedGroup
+from .wordballs import FinitelyGeneratedGroup, _bfs
 
 
 # -- entry-generic square matrices --------------------------------------------
@@ -239,34 +239,32 @@ def nilpotency_class(s, cutoff, float_tol=1e-10):
 
 # -- finite groups: closure, Jordan bound, brute-force oracle ----------------------
 
+def _flat(m):
+    if mat_is_exact(m):
+        return tuple(x for r in m for x in r)
+    return tuple(np.asarray(m).ravel().tolist())
+
+
+def _closure(gens, cap, label):
+    """The finite group generated by `gens`, as the BFS from gens[0] by right
+    multiplication by `gens` (gens[0] times the group is the group)."""
+    steps = list(enumerate(gens))
+    return [m for _, m in _bfs(gens[0], steps, product=mat_mul, entries=_flat, cap=cap,
+                               label=label)]
+
+
 def close_under_multiplication(generators, cap=10**5):
     """Multiplicative closure of matrix generators (finite groups only)."""
     gens = [mat_from(g) if not (mat_is_exact(g) or isinstance(g, np.ndarray)) else g
             for g in generators]
-    elements = {}
-    frontier = list(gens)
-    for g in gens:
-        elements[mat_key(g, grid=1e-6)] = g
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(elements.values()):
-                for prod in (mat_mul(a, b), mat_mul(b, a)):
-                    k = mat_key(prod, grid=1e-6)
-                    if k not in elements:
-                        elements[k] = prod
-                        nxt.append(prod)
-                        if len(elements) > cap:
-                            raise CapExceededError("closure exceeded %d elements" % cap)
-        frontier = nxt
-    return list(elements.values())
+    return _closure(gens, cap, "closure")
 
 
 def _check_closed(elements):
-    keys = {mat_key(m, grid=1e-6) for m in elements}
+    keys = {mat_key(m, grid=mat2.GRID) for m in elements}
     for a in elements:
         for b in elements:
-            if mat_key(mat_mul(a, b), grid=1e-6) not in keys:
+            if mat_key(mat_mul(a, b), grid=mat2.GRID) not in keys:
                 raise PreconditionError("set is not closed under multiplication")
 
 
@@ -295,33 +293,14 @@ def jordan_abelian_index(elements, epsilon, metric="frobenius"):
         dist = frobenius_to_identity
     else:
         dist = lambda m: rotation_angle_distance(m, kind=metric)
+    # The identity is at distance 0, so it is a seed whenever it is present.
     seeds = [m for m in elements if dist(m) <= epsilon]
-    keys = {mat_key(m, grid=1e-6): i for i, m in enumerate(elements)}
-    sub = {}
-    for m in seeds:
-        sub[mat_key(m, grid=1e-6)] = m
-    if not sub:
-        ident = [m for m in elements if mat_is_identity(m, tol=1e-9)]
-        if not ident:
-            raise PreconditionError("identity missing from the group")
-        sub[mat_key(ident[0], grid=1e-6)] = ident[0]
-    frontier = list(sub.values())
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(sub.values()):
-                for prod in (mat_mul(a, b), mat_mul(b, a)):
-                    k = mat_key(prod, grid=1e-6)
-                    if k not in keys:
-                        raise PreconditionError("set is not closed under multiplication")
-                    if k not in sub:
-                        sub[k] = prod
-                        nxt.append(prod)
-        frontier = nxt
+    if not seeds:
+        raise PreconditionError("identity missing from the group")
+    sub = _closure(seeds, len(elements), "subgroup closure")
     abelian = True
-    vals = list(sub.values())
-    for i, a in enumerate(vals):
-        for b in vals[i + 1:]:
+    for i, a in enumerate(sub):
+        for b in sub[i + 1:]:
             if frobenius_norm(np.asarray(mat_mul(a, b)) - np.asarray(mat_mul(b, a))) > 1e-9:
                 abelian = False
     if len(elements) % len(sub) != 0:
@@ -339,8 +318,8 @@ def max_abelian_index_bruteforce(elements):
     hundred): grow each cyclic subgroup by every commuting element, closing
     as we go, and deduplicate subgroups by their element sets."""
     n = len(elements)
-    keys = {mat_key(m, grid=1e-6): i for i, m in enumerate(elements)}
-    table = [[keys[mat_key(mat_mul(a, b), grid=1e-6)] for b in elements] for a in elements]
+    keys = {mat_key(m, grid=mat2.GRID): i for i, m in enumerate(elements)}
+    table = [[keys[mat_key(mat_mul(a, b), grid=mat2.GRID)] for b in elements] for a in elements]
     commute = [[table[i][j] == table[j][i] for j in range(n)] for i in range(n)]
 
     def close_idx(idx_set):

@@ -1,17 +1,25 @@
-"""Finitely generated isometry groups and their word balls.
+"""Finitely generated isometry groups, their word balls, and `_bfs`, the one
+breadth-first core behind every group enumeration in the package (word
+balls, pruned orbit balls, the crystallographic closure, finite-group
+closures).  Each report over an infinite group carries its finite horizon.
 
-Word balls make every group quantifier finite-horizon: each downstream
-report carries the radius it was computed at.  Elements are deduplicated up
-to sign (projectivized matrices) with exact keys for exact entries, quantized
-keys for floats.
+Identity rule: an element is named by its flat entries (`key_entries()`).
+Exact entries key exactly, floats by their nearest multiples of `mat2.GRID`.
+A float within rounding error of a half-cell boundary may round either way,
+so a missed lookup also probes the adjacent cell (margin `mat2.STRADDLE`,
+scaled by the entry's magnitude).
+
+Cap rule: every distinct element keyed, kept or pruned, counts towards the
+cap; past it CapExceededError carries the entries kept so far.
 """
 
 from dataclasses import dataclass
-import math
+import itertools
+import operator
 
 import numpy as np
 
-from . import hyperbolic
+from . import hyperbolic, mat2
 from .errors import CapExceededError, PreconditionError
 
 WORD_BALL_CAP = 10**6
@@ -20,17 +28,21 @@ WORD_BALL_CAP = 10**6
 class FinitelyGeneratedGroup:
     """Generator list plus bookkeeping; inverse closure is added on demand.
 
-    Generators may be Moebius, Lorentz or Euclidean isometries; anything with
-    __mul__, inverse(), dedup_key() and is_identity() works.
+    Generators may be Moebius, Lorentz or Euclidean isometries; any
+    `mat2.Keyed` element with __mul__, inverse() and is_identity() works.
+    Its elements are told apart by the identity rule, and enumerations of
+    them stop under the cap rule (module docstring).
     """
 
-    def __init__(self, generators, name=None, dedup_grid=1e-6):
+    def __init__(self, generators, name=None):
         if not generators:
             raise PreconditionError("need at least one generator")
         self.generators = list(generators)
         self.name = name or "group"
-        self.dedup_grid = dedup_grid
-        self.exact = all(getattr(g, "exact", False) for g in generators)
+
+    def identity(self):
+        first = self.generators[0]
+        return first * first.inverse()
 
     def symmetric_generators(self):
         """Generators and their inverses, deduplicated, identity dropped."""
@@ -39,21 +51,87 @@ class FinitelyGeneratedGroup:
             for h, label in ((g, i + 1), (g.inverse(), -(i + 1))):
                 if h.is_identity():
                     continue
-                k = h.dedup_key(self.dedup_grid)
+                k = h.dedup_key()
                 if k not in seen:
                     seen.add(k)
                     out.append((label, h))
         return out
 
     def conjugated(self, h):
-        return FinitelyGeneratedGroup(
-            [h * g * h.inverse() for g in self.generators],
-            name=self.name + "^h",
-            dedup_grid=self.dedup_grid,
-        )
+        return FinitelyGeneratedGroup([h * g * h.inverse() for g in self.generators],
+                                      name=self.name + "^h")
 
     def __repr__(self):
         return "FinitelyGeneratedGroup(%s, %d generators)" % (self.name, len(self.generators))
+
+
+# -- the enumeration core ---------------------------------------------------
+
+# Straddle margin in cells per unit of |x| (see mat2.STRADDLE).
+_MARGIN = mat2.STRADDLE / mat2.GRID
+
+
+def _cells(x, q):
+    """Cells the entry x in cell q may round to: q, and for a float within
+    the straddle margin of a boundary the neighbour across it."""
+    if type(x) is complex:
+        return tuple(itertools.product(_cells(x.real, q[0]), _cells(x.imag, q[1])))
+    if type(x) is float:
+        f = x / mat2.GRID - q
+        if 0.5 - abs(f) <= _MARGIN * (1.0 + abs(x)):
+            return (q, q + 1 if f > 0 else q - 1)
+    return (q,)
+
+
+def _straddle_keys(xs, k):
+    """Keys other than k that the entries xs may round to: none unless a
+    complex entry, or a float entry near a cell boundary, is present."""
+    # Scan first: most new elements have no entry near a boundary.
+    for x, q in zip(xs, k):
+        if type(x) is float:
+            if 0.5 - abs(x / mat2.GRID - q) > _MARGIN * (1.0 + abs(x)):
+                continue
+        elif type(x) is not complex:
+            continue
+        return [c for c in itertools.product(*map(_cells, xs, k)) if c != k]
+    return ()
+
+
+def _bfs(start, steps, cap, product=operator.mul, entries=operator.methodcaller("key_entries"),
+         radius=None, test=None, label="enumeration", words=False):
+    """Kept (word, element) pairs in BFS order from `start` (empty word) by
+    right multiplication product(e, s) over `steps`, a list of (label, s).
+
+    Stops after `radius` layers, or when the frontier empties.  `test(w) ->
+    (expand, keep)` runs once per newly keyed element (default: both); an
+    element not expanded is not kept.  Words stay empty unless `words`.
+    """
+    seen = {mat2.quantize(entries(start))}
+    kept = [((), start)]
+    frontier = kept[:]
+    layer = 0
+    while frontier and (radius is None or layer < radius):
+        layer += 1
+        nxt = []
+        for word, e in frontier:
+            for lab, s in steps:
+                w = product(e, s)
+                xs = entries(w)
+                k = mat2.quantize(xs)
+                if k in seen or not seen.isdisjoint(_straddle_keys(xs, k)):
+                    continue
+                seen.add(k)
+                expand, keep = test(w) if test else (True, True)
+                if expand:
+                    item = (word + (lab,) if words else word, w)
+                    nxt.append(item)
+                    if keep:
+                        kept.append(item)
+                if len(seen) > cap:
+                    raise CapExceededError("%s exceeded %d elements" % (label, cap),
+                                           entries=kept)
+        frontier = nxt
+    return kept
 
 
 @dataclass
@@ -77,30 +155,8 @@ def word_ball(group, radius, cap=WORD_BALL_CAP):
     set, each present exactly once (identity included, empty word)."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    sym = group.symmetric_generators()
-    identity_word = ()
-    first = group.generators[0]
-    identity = first * first.inverse()
-    entries = [(identity_word, identity)]
-    seen = {identity.dedup_key(group.dedup_grid)}
-    frontier = [(identity_word, identity)]
-    for _ in range(radius):
-        nxt = []
-        for word, e in frontier:
-            for label, s in sym:
-                w = e * s
-                k = w.dedup_key(group.dedup_grid)
-                if k in seen:
-                    continue
-                seen.add(k)
-                item = (word + (label,), w)
-                entries.append(item)
-                nxt.append(item)
-                if len(entries) > cap:
-                    raise CapExceededError("word ball exceeded %d elements" % cap)
-        frontier = nxt
-        if not frontier:
-            break
+    entries = _bfs(group.identity(), group.symmetric_generators(), radius=radius, cap=cap,
+                   label="word ball", words=True)
     return WordBall(radius=radius, entries=entries)
 
 
@@ -148,12 +204,6 @@ def displacements_at(elements, point):
     return np.array([e.displacement(x) for e in elements])
 
 
-def translate_points_h2(elements, point):
-    """g . z for all stacked elements, as a complex vector."""
-    stacked = stack_moebius(elements)
-    return moebius_apply_h2(stacked, point.z)
-
-
 def displacement_pruned_ball(group, base, keep, slack=None, cap=200000):
     """Elements g with d(base, g base) <= keep, found by BFS over the orbit.
 
@@ -162,33 +212,18 @@ def displacement_pruned_ball(group, base, keep, slack=None, cap=200000):
     default slack is twice the generator displacement, enough for cell
     adjacency paths in cocompact tilings.  Completeness at a given slack is a
     heuristic: callers should check stability under a larger slack (tested).
+    The displacement is computed once per newly keyed element, and every
+    keyed element, pruned or not, counts towards `cap`.
     """
     sym = group.symmetric_generators()
     if slack is None:
         gen_disp = max(hyperbolic.displacement(g, base) for _, g in sym)
         slack = 2.0 * gen_disp
-    first = group.generators[0]
-    identity = first * first.inverse()
     explore = keep + slack
-    seen = {identity.dedup_key(group.dedup_grid)}
-    kept = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for _, s in sym:
-                w = e * s
-                k = w.dedup_key(group.dedup_grid)
-                if k in seen:
-                    continue
-                seen.add(k)
-                d = hyperbolic.displacement(w, base)
-                if d > explore:
-                    continue
-                nxt.append(w)
-                if d <= keep:
-                    kept.append(w)
-                if len(seen) > cap:
-                    raise CapExceededError("pruned orbit ball exceeded %d elements" % cap)
-        frontier = nxt
-    return kept
+
+    def test(w):
+        d = hyperbolic.displacement(w, base)
+        return d <= explore, d <= keep
+
+    entries = _bfs(group.identity(), sym, test=test, cap=cap, label="pruned orbit ball")
+    return [e for _, e in entries]

@@ -182,3 +182,4 @@ def test_crystallographic_not_discrete_detected():
 def test_crystallographic_cap_reported():
     rep = crystallographic_analysis(presets.z2_translations().generators, 500, element_cap=50)
     assert rep.cap_exceeded
+    assert rep.ball_size == 51

@@ -7,7 +7,7 @@ import pytest
 
 from latticelab import presets
 from latticelab import smallness as sm
-from latticelab.errors import PreconditionError
+from latticelab.errors import CapExceededError, PreconditionError
 from latticelab.hyperbolic import HPoint, INFINITY
 
 
@@ -116,6 +116,14 @@ def test_cyclic_rotations_index_one():
     rep = sm.jordan_abelian_index(group, 2.0)
     assert rep.index == 1
     assert rep.abelian_verified
+
+
+def test_close_under_multiplication_cap():
+    gens = [sm.mat_from([[math.cos(2 * math.pi / 7), -math.sin(2 * math.pi / 7)],
+                         [math.sin(2 * math.pi / 7), math.cos(2 * math.pi / 7)]])]
+    assert len(sm.close_under_multiplication(gens, cap=7)) == 7
+    with pytest.raises(CapExceededError, match="closure exceeded 6 elements"):
+        sm.close_under_multiplication(gens, cap=6)
 
 
 def test_icosahedral_jordan_index_and_bruteforce(a5_group):
