@@ -15,44 +15,25 @@ subsequences.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import itertools
 import math
 
 import numpy as np
 
+from . import mat2
 from .errors import PreconditionError
-
-
-# -- exact and float determinants -------------------------------------------
-
-def _det_exact(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_exact(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def covolume(basis):
     """|det| of a full-rank basis (rows); exact for exact entries."""
     rows = [list(r) for r in basis]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    if not rows or any(len(r) != len(rows) for r in rows):
         raise PreconditionError("need a square, full-rank basis")
-    if all(isinstance(x, (int, Fraction)) for r in rows for x in r):
-        d = _det_exact([[Fraction(x) for x in r] for r in rows])
-        if d == 0:
-            raise PreconditionError("basis is rank deficient")
-        return abs(d)
-    d = float(np.linalg.det(np.array(rows, dtype=float)))
-    if abs(d) < 1e-12:
+    m = mat2.mat_from(rows)
+    d = abs(mat2.mat_det(m))
+    if (d == 0) if mat2.mat_is_exact(m) else (d < 1e-12):
         raise PreconditionError("basis is rank deficient")
-    return abs(d)
+    return d
 
 
 # -- reduction and enumeration ------------------------------------------------
@@ -211,11 +192,6 @@ class ClosedSubgroupRn:
     @property
     def lattice_rank(self):
         return self.lattice_basis.shape[0]
-
-    def min_lattice_norm(self):
-        if self.lattice_rank == 0:
-            return math.inf
-        return float(np.linalg.norm(shortest_vector(self.lattice_basis)))
 
     def truncation_pieces(self, radius):
         """The pieces of (V + L) inside the closed R-ball: one disk of V-

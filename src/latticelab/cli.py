@@ -163,6 +163,10 @@ def cmd_presentation(args, config):
     radius = args.radius or round(1.1 * eps, 6)
     config["epsilon"], config["radius"] = eps, radius
     if name == "torus":
+        if radius > 0.25:
+            raise PreconditionError(
+                "torus nerve radius %g is above 1/4, where nearest-lift minimax radii are "
+                "not exact; lower --radius, or --epsilon (default radius 1.1 * epsilon)" % radius)
         metric = nerve.TorusMetric()
         pts = presets.sample_torus(args.samples)
     elif name == "octagon-genus2":

@@ -99,16 +99,13 @@ class MoebiusIsometry(mat2.Keyed):
 
     def __init__(self, entries):
         m = mat2.as_tuple(entries)
-        self.exact = mat2.is_exact(m)
-        if not self.exact:
+        self.exact = exact = mat2.is_exact(m)
+        if not exact:
             m = tuple(complex(x) if isinstance(x, complex) else float(x) for x in m)
-            m = mat2.normalize_det1(m)
-            d = mat2.det(m)
-            if abs(d - 1) > 1e-9:
-                raise ValueError("normalization failed, |det - 1| = %g" % abs(d - 1))
-        else:
-            m = mat2.normalize_det1(m)
-        self.m = mat2.canonicalize_sign(m)
+        m = mat2.normalize_det1(m, exact)
+        if not exact and abs(mat2.det(m) - 1) > 1e-9:
+            raise ValueError("normalization failed, |det - 1| = %g" % abs(mat2.det(m) - 1))
+        self.m = mat2.canonicalize_sign(m, exact)
 
     # -- algebra ----------------------------------------------------------
     def __mul__(self, other):
@@ -130,7 +127,7 @@ class MoebiusIsometry(mat2.Keyed):
     def is_identity(self, tol=1e-9):
         if self.exact:
             return self.m in ((1, 0, 0, 1), (-1, 0, 0, -1))
-        return mat2.frobenius_dist_to_identity(mat2.canonicalize_sign(self.m)) <= tol
+        return mat2.frobenius_dist_to_identity(self.m) <= tol    # m is sign-canonical
 
     def key_entries(self):
         return self.m    # sign-canonical since __init__
@@ -175,7 +172,7 @@ def sequence_contraction_witness(g_seq, gamma, escape_tol=1e-2):
     for g in g_seq:
         c = conjugate(gamma, g)
         norms.append(mat2.frobenius_dist_to_identity(
-            mat2.canonicalize_sign(tuple(complex(x) for x in c.m))))
+            mat2.canonicalize_sign(tuple(complex(x) for x in c.m), exact=False)))
     esc = (
         len(norms) >= 2
         and all(n > 0 for n in norms)
@@ -289,7 +286,7 @@ def _finish_classification(g, kind):
             p, q = fp
             if p == INFINITY or q == INFINITY:
                 base = q if p == INFINITY else p
-                interior = None  # vertical axis: every (base, t) is fixed
+                # Vertical axis: every (base, t) is fixed.
                 interior = HPoint(base.real, base.imag, 1.0)
             else:
                 mid = (p + q) / 2
@@ -317,11 +314,6 @@ def _finish_classification(g, kind):
 def translation_length(g, trace_band=TRACE_BAND):
     """inf over the model of the displacement function (0 when not attained)."""
     return classify(g, trace_band=trace_band).translation_length
-
-
-def attains_minimum(g, trace_band=TRACE_BAND):
-    """False exactly for parabolic elements (inf displacement is 0, unattained)."""
-    return classify(g, trace_band=trace_band).attained
 
 
 def same_boundary_point(p, q, tol=1e-7):

@@ -8,6 +8,7 @@ hyperbolic covolumes, recurrence searches, and the matrix-span check.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 import cmath
 import math
 
@@ -30,34 +31,24 @@ class BallGeometry:
         ball = word_ball(group, radius)
         self.words = [w for w, _ in ball.nontrivial()]
         self.elements = [e for _, e in ball.nontrivial()]
-        self._stacked = None
-        self._classes = None
 
     def __len__(self):
         return len(self.elements)
 
-    @property
+    @cached_property
     def stacked(self):
-        if self._stacked is None:
-            self._stacked = stack_moebius(self.elements)
-        return self._stacked
+        return stack_moebius(self.elements)
 
-    @property
+    @cached_property
     def classes(self):
-        if self._classes is None:
-            self._classes = [hyperbolic.classify(e) for e in self.elements]
-        return self._classes
+        return [hyperbolic.classify(e) for e in self.elements]
 
     def translation_lengths(self):
         return np.array([c.translation_length for c in self.classes])
 
     def displacements(self, point):
-        if isinstance(point, HPoint):
-            from .wordballs import displacements_h2, displacements_h3
-            if point.dim == 2:
-                return displacements_h2(self.stacked, point)
-            return displacements_h3(self.stacked, point)
-        return displacements_at(self.elements, point)
+        stacked = self.stacked if isinstance(point, HPoint) else None
+        return displacements_at(self.elements, point, stacked)
 
 
 # -- injectivity radius ----------------------------------------------------

@@ -1,16 +1,21 @@
-"""Entry-generic 2x2 matrix helpers.
+"""Entry-generic matrix helpers: the one place that decides what is exact.
 
 Moebius elements are stored as flat 4-tuples (a, b, c, d) so the same code
 path serves exact entries (int / Fraction), floats and complexes.  Heavier
 batch work converts to numpy arrays at the call site; these helpers stay
-scalar on purpose.  The identity rule of every group element (`GRID`,
-`quantize`, `Keyed`) lives here too, below every isometry module.
+scalar on purpose.  Square n x n matrices (`mat_*`) are Fraction row tuples
+when every entry is exact and numpy arrays otherwise; their inverse and
+determinant share one Fraction elimination.  The identity rule of every
+group element (`GRID`, `quantize`, `Keyed`) lives here too, below every
+isometry module.
 """
 
 from fractions import Fraction
 import math
 
-from .errors import DimensionMismatchError
+import numpy as np
+
+from .errors import DimensionMismatchError, PreconditionError
 
 # The identity rule: float elements are the same element when their entries
 # round to the same multiples of GRID; exact entries compare exactly.  Distinct
@@ -43,8 +48,8 @@ def tr(m):
     return m[0] + m[3]
 
 
-def is_exact(m):
-    return all(isinstance(x, (int, Fraction)) for x in m)
+def is_exact(xs):
+    return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
 def identity():
@@ -60,27 +65,25 @@ def _sign_key(x):
     return x
 
 
-def canonicalize_sign(m, tol=1e-7):
+def canonicalize_sign(m, exact, tol=1e-7):
     """Flip the global sign so the first nonzero entry is positive.
 
     Resolves the +-m ambiguity of projectivized matrices.  For complex
     entries "positive" means positive real part (ties: positive imaginary
-    part).  `tol` decides which entries count as zero for floats.
+    part).  `exact` says whether m's entries are exact; `tol` decides which
+    float entries count as zero.
     """
+    tol = 0 if exact else tol
     for x in m:
-        mag = abs(x)
-        if is_exact(m):
-            if mag != 0:
-                return m if _sign_key(x) > 0 else tuple(-y for y in m)
-        elif mag > tol:
+        if abs(x) > tol:
             return m if _sign_key(x) > 0 else tuple(-y for y in m)
     return m
 
 
-def normalize_det1(m, tol=1e-9):
+def normalize_det1(m, exact, tol=1e-9):
     """Scale to determinant one.  Exact inputs must already have det +-1."""
     d = det(m)
-    if is_exact(m):
+    if exact:
         if d == 1:
             return m
         if d == -1:
@@ -168,7 +171,95 @@ def parse_entry(text):
         return complex(text.replace(" ", ""))
 
 
-def format_entry(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    return repr(x)
+# -- square n x n matrices ------------------------------------------------------
+
+def mat_from(data):
+    """Exact matrices become Fraction tuples; anything else numpy."""
+    rows = [list(r) for r in data]
+    if is_exact(x for r in rows for x in r):
+        return tuple(tuple(Fraction(x) for x in r) for r in rows)
+    return np.array(rows, dtype=complex if any(isinstance(x, complex)
+                                               for r in rows for x in r) else float)
+
+
+def mat_is_exact(m):
+    return isinstance(m, tuple)
+
+
+def mat_dim(m):
+    return len(m) if mat_is_exact(m) else m.shape[0]
+
+
+def mat_mul(a, b):
+    if mat_is_exact(a) and mat_is_exact(b):
+        n = len(a)
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+            for i in range(n))
+    return np.asarray(a) @ np.asarray(b)
+
+
+def _gauss_jordan(m, right):
+    """Reduce the exact rows [m | right] to [1 | m^-1 right] with Fraction
+    pivots; returns (det m, m^-1 right), or (0, None) when m is singular."""
+    n = len(m)
+    rows = [list(r) + list(s) for r, s in zip(m, right)]
+    d = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            d = -d
+        pv = rows[col][col]
+        d *= pv
+        rows[col] = [x / pv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return d, tuple(tuple(r[n:]) for r in rows)
+
+
+def mat_inv(m):
+    if not mat_is_exact(m):
+        return np.linalg.inv(m)
+    _, inv = _gauss_jordan(m, mat_identity(len(m)))
+    if inv is None:
+        raise PreconditionError("singular matrix")
+    return inv
+
+
+def mat_det(m):
+    """Determinant: a Fraction for exact matrices, a Python scalar otherwise."""
+    if not mat_is_exact(m):
+        return np.linalg.det(m).item()
+    return _gauss_jordan(m, [()] * len(m))[0]
+
+
+def mat_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def mat_is_identity(m, tol=1e-12):
+    if mat_is_exact(m):
+        n = len(m)
+        return all(m[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+    return np.abs(np.asarray(m) - np.eye(mat_dim(m))).max() <= tol
+
+
+def frobenius_to_identity(m):
+    if mat_is_exact(m):
+        n = len(m)
+        return math.sqrt(sum(float(m[i][j] - (1 if i == j else 0)) ** 2
+                             for i in range(n) for j in range(n)))
+    d = np.asarray(m) - np.eye(mat_dim(m))
+    return float(np.sqrt((np.abs(d) ** 2).sum()))
+
+
+def frobenius_norm(m):
+    if mat_is_exact(m):
+        return math.sqrt(sum(float(x) ** 2 for r in m for x in r))
+    return float(np.sqrt((np.abs(np.asarray(m)) ** 2).sum()))
+

@@ -8,18 +8,23 @@ integer normal form is the verification oracle downstream.
 
 Metric contexts make the same construction run on the Euclidean plane, the
 flat torus, the hyperbolic plane, and closed hyperbolic surfaces presented as
-quotients (distances minimized over a precomputed set of deck translates).
+quotients.  Both quotient metrics measure distance and minimax radius through
+nearest lifts (on the torus y + round(x - y), on a surface the nearest of a
+precomputed set of deck translates).  H^2 triangles are solved in the
+hyperboloid model with the helpers of `hyperboloid`.
 """
 
 from dataclasses import dataclass, field
-from math import acosh, ceil, comb, cosh, log, pi, sqrt
-import math
+from math import ceil, comb, cosh, log, pi
 
 import numpy as np
 
+from . import hyperbolic
 from .errors import CapExceededError, PreconditionError
 from .hyperbolic import HPoint
-from .wordballs import displacement_pruned_ball, stack_moebius
+from .hyperboloid import (h2_point_to_hyperboloid, hdistance, minkowski_form, normalize_point,
+                          q_inner)
+from .wordballs import displacement_pruned_ball, distances_h2, moebius_apply_h2, stack_moebius
 
 
 # -- metric contexts ---------------------------------------------------------
@@ -48,39 +53,22 @@ def _euclid_minimax(pts):
     return float(np.linalg.norm(center - p[0]))
 
 
-def _h2_to_hyperboloid(z):
-    x, y = z.real, z.imag
-    s = x * x + y * y
-    return np.array([(s + 1) / (2 * y), (s - 1) / (2 * y), x / y])
-
-
-def _q_inner(u, v):
-    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _h2_minimax(zs):
-    """Minimal enclosing ball radius of three points of H^2 (half-plane
-    complex coordinates), via the hyperboloid model."""
-    v = [_h2_to_hyperboloid(z) for z in zs]
-    dists = [(acosh(max(-_q_inner(v[i], v[j]), 1.0)), i, j)
-             for i in range(3) for j in range(i + 1, 3)]
+def _h2_minimax(points):
+    """Minimal enclosing ball radius of three points of H^2, via the
+    hyperboloid model."""
+    v = [h2_point_to_hyperboloid(p) for p in points]
+    dists = [(hdistance(v[i], v[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
     dmax, i, j = max(dists)
     k = 3 - i - j
-    mid = v[i] + v[j]
-    mid = mid / sqrt(max(-_q_inner(mid, mid), 1e-300))
-    if acosh(max(-_q_inner(mid, v[k]), 1.0)) <= dmax / 2.0 + 1e-12:
+    if hdistance(normalize_point(v[i] + v[j]), v[k]) <= dmax / 2.0 + 1e-12:
         return dmax / 2.0
     # Equidistant point: Q-orthogonal to both difference vectors.
-    q = np.diag([-1.0, 1.0, 1.0])
+    q = minkowski_form(2)
     p = np.cross(q @ (v[0] - v[1]), q @ (v[0] - v[2]))
-    s = -_q_inner(p, p)
-    if s <= 0:
+    if q_inner(p, p) >= 0:
         # No interior circumcenter; the midpoint candidates were exhaustive.
         return dmax / 2.0
-    p = p / sqrt(s)
-    if p[0] < 0:
-        p = -p
-    return acosh(max(-_q_inner(p, v[0]), 1.0))
+    return hdistance(normalize_point(p), v[0])
 
 
 class EuclideanMetric:
@@ -102,32 +90,25 @@ class EuclideanMetric:
 
 
 class TorusMetric:
-    """Flat torus R^n / Z^n (unit periods); distances minimize over a
-    2-layer shell of translates."""
+    """Flat torus R^n / Z^n (unit periods), measured through nearest lifts.
 
-    def __init__(self, dim=2, layers=2):
-        self.dim = dim
-        offs = np.arange(-layers, layers + 1)
-        grids = np.meshgrid(*([offs] * dim), indexing="ij")
-        self.shell = np.stack([g.ravel() for g in grids], axis=1).astype(float)
+    The lift of y nearest to x is y + round(x - y), because the Voronoi cell
+    of Z^n is the unit cube, so `distance` is exact at every scale.  A
+    minimax radius below 1/4 is exact too: lifts that fit in a ball of
+    radius r < 1/4 lie within 1/2 of x, hence are the nearest ones.  Above
+    1/4 the value is only an upper bound, so nerves need r <= 1/4.
+    """
 
     def distance(self, x, y):
         d = np.asarray(x, float) - np.asarray(y, float)
-        return float(np.min(np.linalg.norm(d + self.shell, axis=1)))
+        return float(np.linalg.norm(d - np.round(d), axis=-1))
+
+    def nearest_lift(self, x, y):
+        y = np.asarray(y, float)
+        return y + np.round(np.asarray(x, float) - y)
 
     def minimax_radius(self, x, y, z):
-        x = np.asarray(x, float)
-        best = math.inf
-        for u in self.shell:
-            yy = np.asarray(y, float) + u
-            if np.linalg.norm(yy - x) > 2.5:
-                continue
-            for v in self.shell:
-                zz = np.asarray(z, float) + v
-                if np.linalg.norm(zz - x) > 2.5:
-                    continue
-                best = min(best, _euclid_minimax([x, yy, zz]))
-        return best
+        return _euclid_minimax([x, self.nearest_lift(x, y), self.nearest_lift(x, z)])
 
     def ball_volume(self, r):
         return min(pi * r * r, 1.0)
@@ -137,19 +118,18 @@ class HyperbolicMetric:
     """H^2 in half-plane coordinates (HPoint)."""
 
     def distance(self, x, y):
-        from .hyperbolic import distance
-        return distance(x, y)
+        return hyperbolic.distance(x, y)
 
     def minimax_radius(self, x, y, z):
-        return _h2_minimax([x.z, y.z, z.z])
+        return _h2_minimax([x, y, z])
 
     def ball_volume(self, r):
         return 2 * pi * (cosh(r) - 1)
 
 
 class SurfaceMetric:
-    """Closed hyperbolic surface as a quotient: distances minimize over a
-    displacement-pruned set of deck translates.
+    """Closed hyperbolic surface as a quotient, measured through nearest
+    lifts among a displacement-pruned set of deck translates.
 
     `region_radius` bounds d(base, x) for the points in play and
     `interaction_radius` bounds the distances that must come out exact; the
@@ -163,28 +143,23 @@ class SurfaceMetric:
         keep = 2.0 * region_radius + interaction_radius + 0.1
         self.deck = displacement_pruned_ball(group, base, keep, slack=slack)
         self._abcd = stack_moebius(self.deck)
-        self.systole_guard = interaction_radius
 
-    def translates(self, p):
-        a, b, c, d = self._abcd
-        return (a * p.z + b) / (c * p.z + d)
-
-    def _dist_to_translates(self, x, translates):
-        num = np.abs(translates - x.z) ** 2
-        arg = 1.0 + num / (2.0 * x.z.imag * translates.imag)
-        return np.arccosh(np.maximum(arg, 1.0))
+    def _lifts(self, x, y):
+        """Deck translates of y and their distances to x."""
+        ts = moebius_apply_h2(self._abcd, y.z)
+        return ts, distances_h2(x.z, ts)
 
     def distance(self, x, y):
-        return float(np.min(self._dist_to_translates(x, self.translates(y))))
+        return float(np.min(self._lifts(x, y)[1]))
 
     def nearest_lift(self, x, y):
         """The deck translate of y nearest to x (unique when the relevant
         distances stay below half the systole)."""
-        ts = self.translates(y)
-        return complex(ts[int(np.argmin(self._dist_to_translates(x, ts)))])
+        ts, ds = self._lifts(x, y)
+        return HPoint(complex(ts[int(np.argmin(ds))]))
 
     def minimax_radius(self, x, y, z):
-        return _h2_minimax([x.z, self.nearest_lift(x, y), self.nearest_lift(x, z)])
+        return _h2_minimax([x, self.nearest_lift(x, y), self.nearest_lift(x, z)])
 
     def ball_volume(self, r):
         return 2 * pi * (cosh(r) - 1)
@@ -225,9 +200,6 @@ class NerveComplex:
     triangles: list      # sorted triples (i, j, k)
     max_degree: int = 0
     degree_bound_formula: float = None
-
-    def euler_characteristic(self):
-        return self.vertex_count - len(self.edges) + len(self.triangles)
 
 
 def nerve(net, r, metric):

@@ -13,99 +13,28 @@ subgroups of SO(3)/SU(2) may use the exact rotation-angle metric instead.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import math
 
 import numpy as np
 
 from . import hyperbolic, mat2
 from .errors import PreconditionError
+from .mat2 import (frobenius_norm, frobenius_to_identity, mat_dim, mat_from, mat_inv,
+                   mat_is_exact, mat_is_identity, mat_mul)
 from .lattice_lab import BallGeometry
 from .wordballs import FinitelyGeneratedGroup, _bfs
 
 
-# -- entry-generic square matrices --------------------------------------------
-
-def mat_from(data):
-    """Exact matrices become Fraction tuples; anything else numpy."""
-    rows = [list(r) for r in data]
-    if all(isinstance(x, (int, Fraction)) for r in rows for x in r):
-        return tuple(tuple(Fraction(x) for x in r) for r in rows)
-    return np.array(rows, dtype=complex if any(isinstance(x, complex)
-                                               for r in rows for x in r) else float)
+# Commutator levels crowd toward the identity, so the ladder tells float
+# matrices apart on a grid finer than the identity rule's mat2.GRID.
+_LADDER_GRID = 1e-9
 
 
-def mat_is_exact(m):
-    return isinstance(m, tuple)
-
-
-def mat_dim(m):
-    return len(m) if mat_is_exact(m) else m.shape[0]
-
-
-def mat_mul(a, b):
-    if mat_is_exact(a) and mat_is_exact(b):
-        n = len(a)
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-            for i in range(n))
-    return np.asarray(a) @ np.asarray(b)
-
-
-def mat_inv(m):
-    if not mat_is_exact(m):
-        return np.linalg.inv(m)
-    n = len(m)
-    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise PreconditionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_identity(n, exact=True):
-    if exact:
-        return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return np.eye(n)
-
-
-def mat_is_identity(m, tol=1e-12):
-    if mat_is_exact(m):
-        n = len(m)
-        return all(m[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-    return np.abs(np.asarray(m) - np.eye(mat_dim(m))).max() <= tol
-
-
-def frobenius_to_identity(m):
-    if mat_is_exact(m):
-        n = len(m)
-        return math.sqrt(sum(float(m[i][j] - (1 if i == j else 0)) ** 2
-                             for i in range(n) for j in range(n)))
-    d = np.asarray(m) - np.eye(mat_dim(m))
-    return float(np.sqrt((np.abs(d) ** 2).sum()))
-
-
-def frobenius_norm(m):
-    if mat_is_exact(m):
-        return math.sqrt(sum(float(x) ** 2 for r in m for x in r))
-    return float(np.sqrt((np.abs(np.asarray(m)) ** 2).sum()))
-
-
-def mat_key(m, grid=1e-9):
+def mat_key(m):
     if mat_is_exact(m):
         return m
-    a = np.asarray(m)
-    if np.iscomplexobj(a):
-        return tuple((round(x.real / grid), round(x.imag / grid)) for x in a.ravel())
-    return tuple(round(float(x) / grid) for x in a.ravel())
+    return tuple((round(x.real / _LADDER_GRID), round(x.imag / _LADDER_GRID))
+                 if isinstance(x, complex) else round(x / _LADDER_GRID) for x in _flat(m))
 
 
 def rotation_angle_distance(m, kind="so3"):
@@ -245,6 +174,10 @@ def _flat(m):
     return tuple(np.asarray(m).ravel().tolist())
 
 
+def _key(m):
+    return mat2.quantize(_flat(m))
+
+
 def _closure(gens, cap, label):
     """The finite group generated by `gens`, as the BFS from gens[0] by right
     multiplication by `gens` (gens[0] times the group is the group)."""
@@ -261,10 +194,10 @@ def close_under_multiplication(generators, cap=10**5):
 
 
 def _check_closed(elements):
-    keys = {mat_key(m, grid=mat2.GRID) for m in elements}
+    keys = {_key(m) for m in elements}
     for a in elements:
         for b in elements:
-            if mat_key(mat_mul(a, b), grid=mat2.GRID) not in keys:
+            if _key(mat_mul(a, b)) not in keys:
                 raise PreconditionError("set is not closed under multiplication")
 
 
@@ -318,8 +251,8 @@ def max_abelian_index_bruteforce(elements):
     hundred): grow each cyclic subgroup by every commuting element, closing
     as we go, and deduplicate subgroups by their element sets."""
     n = len(elements)
-    keys = {mat_key(m, grid=mat2.GRID): i for i, m in enumerate(elements)}
-    table = [[keys[mat_key(mat_mul(a, b), grid=mat2.GRID)] for b in elements] for a in elements]
+    keys = {_key(m): i for i, m in enumerate(elements)}
+    table = [[keys[_key(mat_mul(a, b))] for b in elements] for a in elements]
     commute = [[table[i][j] == table[j][i] for j in range(n)] for i in range(n)]
 
     def close_idx(idx_set):

@@ -45,15 +45,12 @@ class FinitelyGeneratedGroup:
         return first * first.inverse()
 
     def symmetric_generators(self):
-        """Generators and their inverses, deduplicated, identity dropped."""
+        """Generators and their inverses, deduplicated under the identity
+        rule, identity dropped."""
         out, seen = [], set()
         for i, g in enumerate(self.generators):
             for h, label in ((g, i + 1), (g.inverse(), -(i + 1))):
-                if h.is_identity():
-                    continue
-                k = h.dedup_key()
-                if k not in seen:
-                    seen.add(k)
+                if not h.is_identity() and _add_new(seen, h.key_entries()):
                     out.append((label, h))
         return out
 
@@ -97,6 +94,16 @@ def _straddle_keys(xs, k):
     return ()
 
 
+def _add_new(seen, xs):
+    """Add the key of the entries xs to `seen` and return True, unless the
+    key, or a key xs may round to across a cell boundary, is already there."""
+    k = mat2.quantize(xs)
+    if k in seen or not seen.isdisjoint(_straddle_keys(xs, k)):
+        return False
+    seen.add(k)
+    return True
+
+
 def _bfs(start, steps, cap, product=operator.mul, entries=operator.methodcaller("key_entries"),
          radius=None, test=None, label="enumeration", words=False):
     """Kept (word, element) pairs in BFS order from `start` (empty word) by
@@ -116,11 +123,8 @@ def _bfs(start, steps, cap, product=operator.mul, entries=operator.methodcaller(
         for word, e in frontier:
             for lab, s in steps:
                 w = product(e, s)
-                xs = entries(w)
-                k = mat2.quantize(xs)
-                if k in seen or not seen.isdisjoint(_straddle_keys(xs, k)):
+                if not _add_new(seen, entries(w)):
                     continue
-                seen.add(k)
                 expand, keep = test(w) if test else (True, True)
                 if expand:
                     item = (word + (lab,) if words else word, w)
@@ -173,13 +177,16 @@ def moebius_apply_h2(stacked, z):
     return (a * z + b) / (c * z + d)
 
 
-def displacements_h2(stacked, point):
-    """Vector of displacements of stacked real Moebius elements at an H^2 point."""
-    z = point.z
-    w = moebius_apply_h2(stacked, z)
+def distances_h2(z, w):
+    """H^2 distances from the half-plane point z to the array of points w."""
     num = np.abs(w - z) ** 2
     arg = 1.0 + num / (2.0 * z.imag * np.maximum(w.imag, 1e-300))
     return np.arccosh(np.maximum(arg, 1.0))
+
+
+def displacements_h2(stacked, point):
+    """Vector of displacements of stacked real Moebius elements at an H^2 point."""
+    return distances_h2(point.z, moebius_apply_h2(stacked, point.z))
 
 
 def displacements_h3(stacked, point):
@@ -193,10 +200,11 @@ def displacements_h3(stacked, point):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-def displacements_at(elements, point):
-    """Displacement of every element at the given point (H^2/H^3/Euclidean)."""
+def displacements_at(elements, point, stacked=None):
+    """Displacement of every element at the given point (H^2/H^3/Euclidean);
+    `stacked`, when given, is stack_moebius(elements) computed earlier."""
     if isinstance(point, hyperbolic.HPoint):
-        stacked = stack_moebius(elements)
+        stacked = stack_moebius(elements) if stacked is None else stacked
         if point.dim == 2:
             return displacements_h2(stacked, point)
         return displacements_h3(stacked, point)

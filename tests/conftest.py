@@ -1,6 +1,19 @@
+import os
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 import pytest
 
 from latticelab import nerve, presets, smallness
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run neither depends on nor writes earlier runs' state.
+# Hypothesis still caches the literals it scans from the source; that cache
+# goes to the temp directory instead of the checkout.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "latticelab-hypothesis"))
 
 
 @pytest.fixture(scope="session")

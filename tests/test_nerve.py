@@ -2,10 +2,11 @@ import itertools
 import math
 from math import comb
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from latticelab import nerve, presets
+from latticelab import cli, nerve, presets
 from latticelab.errors import PreconditionError
 
 
@@ -93,6 +94,29 @@ def test_torus_minimax_handles_wraparound():
     pts = [np.array([0.05, 0.5]), np.array([0.95, 0.5]), np.array([0.0, 0.6])]
     r = metric.minimax_radius(*pts)
     assert r < 0.12   # the three points cluster around (0, 0.55) mod 1
+
+
+# Brute-force reference: every lift of y and z within two periods.
+LIFT_SHELL = np.array([[i, j] for i in range(-2, 3) for j in range(-2, 3)], dtype=float)
+torus_point = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(np.array)
+
+
+@given(torus_point, torus_point, torus_point)
+def test_torus_nearest_lifts_match_the_lift_shell(x, y, z):
+    metric = nerve.TorusMetric()
+    assert metric.distance(x, y) == np.min(np.linalg.norm(x - y + LIFT_SHELL, axis=1))
+    shell = min(nerve._euclid_minimax([x, y + u, z + v]) for u in LIFT_SHELL for v in LIFT_SHELL)
+    r = metric.minimax_radius(x, y, z)
+    assert r >= shell
+    if min(r, shell) < 0.25:
+        assert r == shell
+
+
+def test_torus_presentation_cli_rejects_radius_above_a_quarter(capsys):
+    for flags in (["--epsilon", "0.3"], ["--radius", "0.26"]):
+        assert cli.main(["presentation", "--preset", "torus"] + flags) == 2
+        err = capsys.readouterr().err
+        assert "--radius" in err and "--epsilon" in err
 
 
 def test_nerve_reports_degree_statistics():

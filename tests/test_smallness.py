@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latticelab import presets
+from latticelab import mat2, presets
 from latticelab import smallness as sm
 from latticelab.errors import CapExceededError, PreconditionError
 from latticelab.hyperbolic import HPoint, INFINITY
@@ -15,7 +15,7 @@ from latticelab.hyperbolic import HPoint, INFINITY
 
 def test_commutator_with_identity_trivial():
     a = sm.mat_from([[2, 1], [1, 1]])
-    e = sm.mat_identity(2)
+    e = mat2.mat_identity(2)
     assert sm.commutator(a, e) == e
     assert sm.commutator(a, a) == e
 
