@@ -64,6 +64,15 @@ class HPoint:
         if not self.t > 0:
             raise InvalidPointError("height coordinate must be positive, got %r" % (self.t,))
 
+    @classmethod
+    def from_h2(cls, z):
+        """The H^2 point z, a complex number, as HPoint(z.real, z.imag)."""
+        p = object.__new__(cls)
+        p.z, p.t, p.dim = z, z.imag, 2
+        if not p.t > 0:
+            raise InvalidPointError("height coordinate must be positive, got %r" % (p.t,))
+        return p
+
     @property
     def coords(self):
         if self.dim == 2:
@@ -107,6 +116,14 @@ class MoebiusIsometry(mat2.Keyed):
             raise ValueError("normalization failed, |det - 1| = %g" % abs(mat2.det(m) - 1))
         self.m = mat2.canonicalize_sign(m, exact)
 
+    @classmethod
+    def from_canonical(cls, m):
+        """The float element with flat entries m, already of determinant one
+        and sign-canonical (as __init__ would leave them), taken as they are."""
+        g = object.__new__(cls)
+        g.m, g.exact = m, False
+        return g
+
     # -- algebra ----------------------------------------------------------
     def __mul__(self, other):
         return MoebiusIsometry(mat2.mul(self.m, other.m))
@@ -119,7 +136,7 @@ class MoebiusIsometry(mat2.Keyed):
 
     @property
     def is_complex(self):
-        return any(isinstance(x, complex) for x in self.m)
+        return complex in map(type, self.m)
 
     def trace(self):
         return mat2.tr(self.m)
@@ -134,12 +151,11 @@ class MoebiusIsometry(mat2.Keyed):
 
     # -- action -----------------------------------------------------------
     def apply(self, p):
-        a, b, c, d = (complex(x) for x in self.m)
+        a, b, c, d = map(complex, self.m)
         if p.dim == 2:
             if self.is_complex:
                 raise DimensionMismatchError("complex matrix cannot act on H^2")
-            z = (a * p.z + b) / (c * p.z + d)
-            return HPoint(z.real, z.imag)
+            return HPoint.from_h2((a * p.z + b) / (c * p.z + d))
         den = abs(c * p.z + d) ** 2 + abs(c) ** 2 * p.t ** 2
         z = ((a * p.z + b) * (c * p.z + d).conjugate() + a * c.conjugate() * p.t ** 2) / den
         return HPoint(z.real, z.imag, p.t / den)

@@ -11,6 +11,14 @@ scaled by the entry's magnitude).
 
 Cap rule: every distinct element keyed, kept or pruned, counts towards the
 cap; past it CapExceededError carries the entries kept so far.
+
+`_bfs` takes each layer's frontier `CHUNK` elements at a time.  A kernel
+turns a chunk into its candidates, the products by every step in (frontier,
+step) order, with their keys; one loop then dedups, tests and caps them.
+Real float Moebius groups use a numpy kernel (products, determinant
+normalization, sign choice and keys as arrays, bit for bit what the scalar
+path computes); every other group uses the scalar kernel, one product object
+per candidate, which keeps exact, complex, Euclidean and Lorentz arithmetic.
 """
 
 from dataclasses import dataclass
@@ -31,13 +39,15 @@ class FinitelyGeneratedGroup:
     Generators may be Moebius, Lorentz or Euclidean isometries; any
     `mat2.Keyed` element with __mul__, inverse() and is_identity() works.
     Its elements are told apart by the identity rule, and enumerations of
-    them stop under the cap rule (module docstring).
+    them stop under the cap rule (module docstring).  Moebius generators
+    mixing exact, real float and complex entries are all taken in the widest
+    of these, since the identity rule keys 1, 1.0 and 1+0j apart.
     """
 
     def __init__(self, generators, name=None):
         if not generators:
             raise PreconditionError("need at least one generator")
-        self.generators = list(generators)
+        self.generators = _one_arithmetic(list(generators))
         self.name = name or "group"
 
     def identity(self):
@@ -60,6 +70,22 @@ class FinitelyGeneratedGroup:
 
     def __repr__(self):
         return "FinitelyGeneratedGroup(%s, %d generators)" % (self.name, len(self.generators))
+
+
+def _arithmetic(g):
+    return 2 if g.is_complex else 0 if g.exact else 1
+
+
+def _one_arithmetic(gens):
+    """Moebius generators recast to the widest arithmetic among them (exact,
+    then real float, then complex): a product of mixed kinds takes the wider
+    kind, so a ball would otherwise keep it beside its narrower twin."""
+    if not all(type(g) is hyperbolic.MoebiusIsometry for g in gens):
+        return gens
+    widest = max(map(_arithmetic, gens))
+    cast = complex if widest == 2 else float
+    return [g if _arithmetic(g) == widest else hyperbolic.MoebiusIsometry(tuple(map(cast, g.m)))
+            for g in gens]
 
 
 # -- the enumeration core ---------------------------------------------------
@@ -104,30 +130,159 @@ def _add_new(seen, xs):
     return True
 
 
-def _bfs(start, steps, cap, product=operator.mul, entries=operator.methodcaller("key_entries"),
-         radius=None, test=None, label="enumeration", words=False):
+# Frontier elements per kernel call.  A layer of a large ball holds tens of
+# thousands of elements; taking it in chunks bounds the candidate arrays at
+# CHUNK * len(steps) rows instead of growing them with the layer.
+CHUNK = 256
+
+_KEY_ENTRIES = operator.methodcaller("key_entries")
+
+# Entries below _KEY_BOUND have cells of magnitude at most 2^53, exact in
+# float64 and, with their straddle neighbours, below _PACK_LIMIT; a chunk with
+# a larger entry goes to the scalar kernel.
+_KEY_BOUND = 2.0 ** 53 * mat2.GRID
+_PACK_LIMIT = 2 ** 62
+
+# Straddle corners: _CORNERS[c] moves entry j across its boundary when bit
+# 3 - j of c is set.  An element whose near entries have bits b probes the
+# corners c != 0 inside b, at byte offsets _SUBCORNERS[b] of its packed block.
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=4)))
+_BITS = np.array([8, 4, 2, 1])
+_SUBCORNERS = [[32 * c for c in range(1, 16) if c & ~b == 0] for b in range(16)]
+
+
+def _pack(k):
+    """A real float Moebius key (four cells) as the bytes of four int64s,
+    when every cell fits, else the tuple itself.  Packing depends on k alone,
+    so packed keys are equal exactly when the tuples are, at a third of
+    their memory."""
+    if all(abs(c) < _PACK_LIMIT for c in k):
+        return np.array(k, dtype=np.int64).tobytes()
+    return k
+
+
+def _scalar_kernel(steps, product, entries):
+    """Kernel building one product object per candidate.  A chunk's products
+    are all made before any is keyed, so a product that raises stops the
+    enumeration even where the cap would have stopped it a few candidates
+    earlier."""
+    def candidates(chunk):
+        made = [product(e, s) for _, e in chunk for _, s in steps]
+        xs = [entries(w) for w in made]
+        keys = [mat2.quantize(x) for x in xs]
+        return keys, made.__getitem__, lambda i, k: _straddle_keys(xs[i], k)
+    return (lambda x: mat2.quantize(entries(x))), candidates
+
+
+def _moebius_kernel(steps):
+    """Kernel for real float Moebius steps: the chunk's products, their
+    determinant normalization and sign choice (in the float operations of
+    MoebiusIsometry.__init__), keys and straddle alternates as arrays.  Keys
+    are packed (`_pack`).  A chunk with a candidate the scalar path would
+    reject, or with a cell beyond int64, goes to the scalar kernel, which
+    raises or keys it."""
+    _, scalar = _scalar_kernel(steps, operator.mul, _KEY_ENTRIES)
+    e, f, g, h = np.array([s.m for _, s in steps], dtype=float).reshape(-1, 4).T
+
+    def fallback(chunk):
+        keys, element, alternates = scalar(chunk)
+        return (list(map(_pack, keys)), element,
+                lambda i, k: map(_pack, alternates(i, keys[i])))
+
+    def candidates(chunk):
+        a, b, c, d = np.array([x.m for _, x in chunk]).T[:, :, None]
+        m = np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
+                     axis=-1).reshape(-1, 4)
+        with np.errstate(all="ignore"):
+            det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
+            m = m * (1.0 / np.sqrt(det))[:, None]
+            big = np.abs(m)
+            ok = ((det >= 1e-9) & (np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2] - 1) <= 1e-9)
+                  & (big.max(axis=1) < _KEY_BOUND))
+        if not ok.all():
+            return fallback(chunk)
+        lead = big > 1e-7
+        first = m[np.arange(len(m)), lead.argmax(axis=1)]
+        m = np.where((lead.any(axis=1) & ~(first > 0))[:, None], -m, m)
+        x = m / mat2.GRID
+        q = np.rint(x)
+        off = x - q
+        # The cell across the boundary from each entry within the straddle
+        # margin of one, as _cells chooses it.
+        turn = np.where((0.5 - np.abs(off)) <= _MARGIN * (1.0 + big), np.where(off > 0, 1, -1), 0)
+        q = q.astype(np.int64)
+        packed = q.tobytes()
+        keys = [packed[o:o + 32] for o in range(0, len(packed), 32)]
+        mask = (turn != 0) @ _BITS
+        near = np.flatnonzero(mask)
+        probe = (q[near, None, :] + _CORNERS * turn[near, None, :]).tobytes()
+        subs = [_SUBCORNERS[b] for b in mask[near].tolist()]
+        at = {i: (512 * j, subs[j]) for j, i in enumerate(near.tolist())}
+        rows = m.tolist()
+
+        def element(i):
+            return hyperbolic.MoebiusIsometry.from_canonical(tuple(rows[i]))
+
+        def alternates(i, k):
+            if i not in at:
+                return ()
+            o, offsets = at[i]
+            return [probe[o + c:o + c + 32] for c in offsets]
+
+        return keys, element, alternates
+
+    return (lambda x: _pack(mat2.quantize(x.m))), candidates
+
+
+def _kernel(start, steps, product, entries):
+    """(key, candidates): the numpy kernel when start and steps are real
+    float Moebius isometries under the default product and entries, else the
+    scalar one.  key(x) keys one element; candidates(chunk) gives the keys
+    of the chunk's products in (frontier, step) order, the i-th product as
+    an element, and the alternates of the i-th key for the straddle probe."""
+    if product is operator.mul and entries is _KEY_ENTRIES and all(
+            type(x) is hyperbolic.MoebiusIsometry and not x.exact and not x.is_complex
+            for x in [start] + [s for _, s in steps]):
+        return _moebius_kernel(steps)
+    return _scalar_kernel(steps, product, entries)
+
+
+def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=None,
+         test=None, label="enumeration", words=False):
     """Kept (word, element) pairs in BFS order from `start` (empty word) by
     right multiplication product(e, s) over `steps`, a list of (label, s).
 
     Stops after `radius` layers, or when the frontier empties.  `test(w) ->
     (expand, keep)` runs once per newly keyed element (default: both); an
     element not expanded is not kept.  Words stay empty unless `words`.
+
+    Each layer's frontier goes through the kernel (`_kernel`) CHUNK elements
+    at a time, so the kernel's arrays stay the same size however wide a layer
+    grows; one loop then walks the candidates in (frontier, step) order, so
+    the straddle probe and the cap see them as an element-by-element BFS
+    would, whichever kernel made them.
     """
-    seen = {mat2.quantize(entries(start))}
+    key, candidates = _kernel(start, steps, product, entries)
+    seen = {key(start)}
     kept = [((), start)]
     frontier = kept[:]
+    labels = [lab for lab, _ in steps]
+    n = len(steps)
     layer = 0
     while frontier and (radius is None or layer < radius):
         layer += 1
         nxt = []
-        for word, e in frontier:
-            for lab, s in steps:
-                w = product(e, s)
-                if not _add_new(seen, entries(w)):
+        for lo in range(0, len(frontier), CHUNK):
+            chunk = frontier[lo:lo + CHUNK]
+            keys, element, alternates = candidates(chunk)
+            for i, k in enumerate(keys):
+                if k in seen or not seen.isdisjoint(alternates(i, k)):
                     continue
+                seen.add(k)
+                w = element(i)
                 expand, keep = test(w) if test else (True, True)
                 if expand:
-                    item = (word + (lab,) if words else word, w)
+                    item = (chunk[i // n][0] + (labels[i % n],) if words else (), w)
                     nxt.append(item)
                     if keep:
                         kept.append(item)

@@ -1,11 +1,17 @@
 from fractions import Fraction
+import itertools
+import math
+import operator
+import warnings
 
 from hypothesis import given, strategies as st
+import numpy as np
 import pytest
 
-from latticelab import mat2, presets
+from latticelab import mat2, presets, wordballs
+from latticelab.errors import CapExceededError
 from latticelab.euclidean import EuclideanIsometry
-from latticelab.hyperbolic import MoebiusIsometry, displacement
+from latticelab.hyperbolic import HPoint, MoebiusIsometry, displacement
 from latticelab.wordballs import FinitelyGeneratedGroup, displacement_pruned_ball, word_ball
 
 
@@ -49,6 +55,27 @@ def test_word_ball_keeps_one_copy_of_an_element_straddling_a_cell_boundary():
     assert len(word_ball(group, 1)) == 3
 
 
+# Translations whose sum, added in different orders, lands on either side of
+# a cell boundary: (a + b) + c and (b + c) + a key to adjacent cells.
+STRADDLING_SUM = (0.392, 0.821, 0.6890314999999998)
+
+
+def test_word_ball_keeps_one_copy_of_a_product_straddling_a_cell_boundary():
+    assert len({mat2.quantize([(x + y) + z]) for x, y, z in
+                itertools.permutations(STRADDLING_SUM)}) == 2
+    group = FinitelyGeneratedGroup([MoebiusIsometry(((1.0, x), (0.0, 1.0)))
+                                    for x in STRADDLING_SUM])
+    assert [len(word_ball(group, r)) for r in (1, 2, 3)] == [7, 25, 63]    # Z^3
+
+
+def test_group_generated_by_the_identity_has_no_steps():
+    for one in (MoebiusIsometry(((1.0, 0.0), (0.0, 1.0))), MoebiusIsometry(((1, 0), (0, 1)))):
+        group = FinitelyGeneratedGroup([one])
+        assert group.symmetric_generators() == []
+        assert len(word_ball(group, 2)) == 1
+        assert displacement_pruned_ball(group, presets.octagon_center(), 1.0, slack=1.0) == [one]
+
+
 def test_conjugate_octagon_ball_has_dehn_size():
     # A conjugate whose radius-5 ball kept one element twice when each float
     # entry was keyed by its own cell alone; Dehn's algorithm gives 22289.
@@ -73,3 +100,127 @@ def test_displacement_pruned_ball_stable_under_slack_and_matches_word_ball(octag
     in_ball = {e.dedup_key() for e in word_ball(octagon, 4).elements
                if displacement(e, base) <= keep}
     assert keys[4.5] == keys[5.5] == in_ball
+
+
+def test_mixed_exact_and_float_generators_keep_one_copy_of_each_element():
+    # 1 and 1.0 key apart, so float products such as L L^-1 T once came back
+    # beside the exact identity and T.  The all-exact group is the oracle.
+    t = MoebiusIsometry(((1, 1), (0, 1)))
+    l_float = MoebiusIsometry(((2.0, 0.0), (0.0, 0.5)))
+    l_exact = MoebiusIsometry(((2, 0), (0, Fraction(1, 2))))
+    want = [len(word_ball(FinitelyGeneratedGroup([t, l_exact]), r)) for r in (2, 3, 4)]
+    assert want == [17, 53, 141]
+    for gens in ([t, l_float], [l_float, t]):
+        group = FinitelyGeneratedGroup(gens)
+        assert not any(g.exact for g in group.generators)
+        assert [len(word_ball(group, r)) for r in (2, 3, 4)] == want
+
+
+def test_mixed_real_and_complex_generators_keep_one_copy_of_each_element():
+    # Translations by 1 and by i generate Z^2: 2r^2 + 2r + 1 elements.
+    real = MoebiusIsometry(((1.0, 1.0), (0.0, 1.0)))
+    cplx = MoebiusIsometry(((1.0, 1j), (0.0, 1.0)))
+    for gens in ([real, cplx], [cplx, real]):
+        group = FinitelyGeneratedGroup(gens)
+        assert [len(word_ball(group, r)) for r in (1, 2, 3)] == [5, 13, 25]
+
+
+# -- batched (numpy) kernel against the scalar kernel ------------------------------
+
+def use_scalar_kernel(monkeypatch):
+    """From here on, every enumeration runs through the scalar kernel."""
+    monkeypatch.setattr(wordballs, "_kernel", lambda start, steps, product, entries:
+                        wordballs._scalar_kernel(steps, product, entries))
+
+
+def kernel_of(group):
+    return wordballs._kernel(group.identity(), group.symmetric_generators(), operator.mul,
+                             wordballs._KEY_ENTRIES)
+
+
+def takes_numpy_kernel(group):
+    return kernel_of(group)[1].__qualname__.startswith("_moebius_kernel")
+
+
+def test_numpy_kernel_keys_are_quantize_keys_packed():
+    group = presets.octagon_genus2()
+    key, candidates = kernel_of(group)
+    keys, element, _ = candidates(word_ball(group, 2).entries)
+    assert [tuple(np.frombuffer(k, np.int64).tolist()) for k in keys] == [
+        mat2.quantize(element(i).m) for i in range(len(keys))]
+    assert key(group.identity()) == np.array(mat2.quantize(group.identity().m)).tobytes()
+
+
+def small_translation(rng):
+    """A hyperbolic element of translation length 0.05..0.5 along a random
+    geodesic through i."""
+    c, s = math.cos(rng.uniform(0, math.pi)), math.sin(rng.uniform(0, math.pi))
+    rot = MoebiusIsometry(((c, s), (-s, c)))
+    lam = math.exp(rng.uniform(0.05, 0.5) / 2.0)
+    return rot * MoebiusIsometry(((lam, 0.0), (0.0, 1.0 / lam))) * rot.inverse()
+
+
+def differential_cases():
+    octagon = presets.octagon_genus2()
+    straddle = FinitelyGeneratedGroup(
+        [MoebiusIsometry(((1.0, 2.5e-6 + d), (0.0, 1.0))) for d in (1e-13, -1e-13)])
+    straddling_sum = FinitelyGeneratedGroup(
+        [MoebiusIsometry(((1.0, x), (0.0, 1.0))) for x in STRADDLING_SUM])
+    h = MoebiusIsometry(((1.1, 0.3), (0.2, 1.06 / 1.1)))
+    rng = np.random.default_rng(20141402)
+    """(group, run) pairs: run(group) gives (word, element) entries."""
+    cases = [(straddle, lambda g: word_ball(g, 3).entries),
+             (straddling_sum, lambda g: word_ball(g, 3).entries),
+             (presets.sl2z().conjugated(h), lambda g: word_ball(g, 8).entries)]
+    for r in (2, 3, 4):
+        cases.append((octagon.conjugated(small_translation(rng)),
+                      lambda g, r=r: word_ball(g, r).entries))
+    for base, keep, slack in ((HPoint(0.0, 1.0), 4.5, 4.5), (HPoint(0.1, 1.2), 4.2, 4.8)):
+        cases.append((octagon, lambda g, b=base, k=keep, s=slack: [
+            ((), e) for e in displacement_pruned_ball(g, b, k, slack=s)]))
+    return cases
+
+
+def assert_same_entries(got, want):
+    assert [(w, e.m) for w, e in got] == [(w, e.m) for w, e in want]
+    for (_, x), (_, y) in zip(got, want):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_numpy_kernel_matches_scalar_kernel(monkeypatch):
+    cases = differential_cases()
+    assert all(takes_numpy_kernel(group) for group, _ in cases)
+    batched = [run(group) for group, run in cases]
+    use_scalar_kernel(monkeypatch)
+    for (group, run), got in zip(cases, batched):
+        assert_same_entries(got, run(group))
+
+
+def cap_error(run):
+    with pytest.raises(CapExceededError) as info:
+        run()
+    return str(info.value), info.value.entries
+
+
+def test_numpy_kernel_trips_the_cap_where_the_scalar_kernel_does(monkeypatch):
+    octagon, base = presets.octagon_genus2(), presets.octagon_center()
+    runs = [lambda: word_ball(octagon, 4, cap=500),
+            lambda: displacement_pruned_ball(octagon, base, 4.5, slack=4.5, cap=300)]
+    batched = [cap_error(run) for run in runs]
+    use_scalar_kernel(monkeypatch)
+    for run, (message, entries) in zip(runs, batched):
+        want_message, want_entries = cap_error(run)
+        assert message == want_message
+        assert_same_entries(entries, want_entries)
+
+
+def test_keys_beyond_int64_take_the_scalar_kernel(monkeypatch):
+    # Entries of g^3 reach e^60: x / GRID leaves int64.
+    group = presets.cyclic_hyperbolic(40.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball = word_ball(group, 3)
+    assert [w for w, _ in ball.entries] == [(), (1,), (-1,), (1, 1), (-1, -1), (1, 1, 1),
+                                            (-1, -1, -1)]
+    use_scalar_kernel(monkeypatch)
+    assert_same_entries(ball.entries, word_ball(group, 3).entries)
