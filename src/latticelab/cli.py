@@ -17,9 +17,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import chabauty, lattice_lab, nerve, presets, smallness, solvable
-from .errors import BorderlineClassificationError, LatticeLabError, PreconditionError
+from .errors import (
+    BorderlineClassificationError,
+    DimensionMismatchError,
+    LatticeLabError,
+    PreconditionError,
+)
+from .euclidean import EuclideanIsometry, crystallographic_analysis
 from .hyperbolic import HPoint, MoebiusIsometry, classify
-from .mat2 import parse_entry
+from .mat2 import as_tuple, parse_entry
 from .wordballs import word_ball
 
 VERIFIES = {
@@ -90,11 +96,22 @@ def _emit(args, config, result):
 
 
 def _parse_matrix(text):
-    rows = json.loads(text) if text.strip().startswith("[") else None
-    if rows is None:
-        raise PreconditionError("matrix must be a JSON 2x2 array, e.g. [[0,-1],[1,0]]")
-    return tuple(tuple(parse_entry(str(x)) if isinstance(x, str) else x for x in row)
-                 for row in rows)
+    """The --matrix flag: a JSON 2x2 array of determinant 1 (or of positive
+    determinant, for float entries), each entry read by `parse_entry`."""
+    try:
+        return MoebiusIsometry([parse_entry(str(x)) for x in as_tuple(json.loads(text))])
+    except (ValueError, ZeroDivisionError, DimensionMismatchError) as exc:
+        raise PreconditionError(
+            "--matrix %r: %s; expected a JSON 2x2 array of determinant 1, "
+            "e.g. [[0,-1],[1,0]]" % (text, exc)) from None
+
+
+def _parse_list(text, convert, flag):
+    """A comma-separated flag value, each item through `convert`."""
+    try:
+        return [convert(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError("%s %r: %s" % (flag, text, exc)) from None
 
 
 CLASSIFY_PRESETS = {
@@ -104,14 +121,24 @@ CLASSIFY_PRESETS = {
 }
 
 
+def _preset_group(name, kind, subcommand):
+    """The named preset group; the subcommand reads its generators as `kind`."""
+    group = presets.get_group(name)
+    if not all(isinstance(g, kind) for g in group.generators):
+        raise PreconditionError("%s needs a group of %s; preset %r is not one"
+                                % (subcommand, kind.__name__, name))
+    return group
+
+
 def cmd_classify(args, config):
     if args.matrix:
-        m = _parse_matrix(args.matrix)
+        g = _parse_matrix(args.matrix)
     else:
         m = CLASSIFY_PRESETS.get(args.preset or "sl2z-T")
         if m is None:
             raise PreconditionError("unknown classify preset %r" % args.preset)
-    cls = classify(MoebiusIsometry(m))
+        g = MoebiusIsometry(m)
+    cls = classify(g)
     return {
         "class": cls.kind,
         "translation_length": cls.translation_length,
@@ -143,7 +170,7 @@ def cmd_thickthin(args, config):
 
 
 def cmd_psi_check(args, config):
-    group = presets.get_group(args.preset or "cusp-model")
+    group = _preset_group(args.preset or "cusp-model", MoebiusIsometry, "psi-check")
     ys = np.linspace(0.5, 10.0, args.samples)
     samples = [HPoint(0.0, float(y)) for y in ys]
     res = lattice_lab.gradient_lemma_check(
@@ -197,14 +224,14 @@ def cmd_presentation(args, config):
 
 
 def cmd_count_presentations(args, config):
-    vs = [int(v) for v in args.v_list.split(",")]
+    vs = _parse_list(args.v_list, int, "--v-list")
     profile = nerve.growth_profile(args.c, vs)
     return profile
 
 
 def cmd_chabauty(args, config):
     family = args.family or "one-over-n"
-    radii = [float(r) for r in args.radius_list.split(",")]
+    radii = _parse_list(args.radius_list, float, "--radius-list")
     if family == "one-over-n":
         seq = [chabauty.ClosedSubgroupRn.lattice([[1.0 / k]])
                for k in range(1, args.count + 1)]
@@ -243,7 +270,7 @@ def cmd_mahler(args, config):
 
 
 def cmd_solvable(args, config):
-    primes = tuple(int(p) for p in args.primes.split(","))
+    primes = tuple(_parse_list(args.primes, int, "--primes"))
     m = args.m if args.m is not None else len(primes)
     cert = solvable.lattice_certificate(primes, m_max=m)
     return {
@@ -256,7 +283,10 @@ def cmd_solvable(args, config):
 
 
 def cmd_heisenberg(args, config):
-    x, y, z = (parse_entry(v) for v in args.coords.split(","))
+    coords = _parse_list(args.coords, parse_entry, "--coords")
+    if len(coords) != 3:
+        raise PreconditionError("--coords %r: expected three entries x,y,z" % args.coords)
+    x, y, z = coords
     g = solvable.HeisenbergElement.of(x, y, z)
     gamma, r = solvable.heisenberg_reduce(g)
     return {
@@ -313,8 +343,7 @@ def cmd_jordan(args, config):
 
 
 def cmd_crystallo(args, config):
-    from .euclidean import crystallographic_analysis
-    group = presets.get_group(args.preset or "p2")
+    group = _preset_group(args.preset or "p2", EuclideanIsometry, "crystallo")
     rep = crystallographic_analysis(group.generators, args.cutoff)
     return rep
 
@@ -331,7 +360,7 @@ def cmd_recurrence(args, config):
 
 
 def cmd_span(args, config):
-    group = presets.get_group(args.preset or "sl2z")
+    group = _preset_group(args.preset or "sl2z", MoebiusIsometry, "span")
     rep = lattice_lab.span_check(group, args.word_ball)
     return rep
 
@@ -413,9 +442,15 @@ def build_parser():
     return p
 
 
-def _apply_config_file(args):
+def _apply_config_file(args, parser):
+    """Set each `key = value` line of the --config file on args, converted by
+    the type of the subcommand's flag with that dest."""
     if not args.config:
         return
+    # argparse has no public accessor for a subparser's actions.
+    (subparsers,) = (a for a in parser._actions if a.dest == "subcommand")
+    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions
+               if hasattr(args, a.dest)}
     with open(args.config) as fh:
         for line in fh:
             line = line.strip()
@@ -423,15 +458,19 @@ def _apply_config_file(args):
                 continue
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if not hasattr(args, key):
+            action = actions.get(key)
+            if action is None:
                 raise PreconditionError("unknown config key %r" % key)
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                value = value.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    raise PreconditionError(
+                        "config key %r: %r is not a valid %s" % (key, value, action.type.__name__)
+                    ) from None
+            if action.choices is not None and value not in action.choices:
+                raise PreconditionError("config key %r: %r is not one of %s"
+                                        % (key, value, ", ".join(action.choices)))
             setattr(args, key, value)
 
 
@@ -439,7 +478,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         config = {k: v for k, v in sorted(vars(args).items()) if k not in ("out",)}
         start = time.monotonic()
         result = COMMANDS[args.subcommand](args, config)

@@ -11,7 +11,6 @@ Dimensions >= 4 live in the hyperboloid model (see `hyperboloid`).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import cmath
 import math
 

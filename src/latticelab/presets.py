@@ -16,15 +16,16 @@ Presets are the concrete inputs the experiments run on:
                          relation and the angle-sum check.
 * ``z2`` / ``p2`` / ``screw-pi`` -- Euclidean crystallographic examples.
 
-Samplers use an unscrambled Halton sequence, so every region sample is a pure
-function of (count, parameters) and reports are reproducible byte for byte.
+Samplers use an unscrambled Halton sequence, computed here in numpy, so every
+region sample is a pure function of (count, parameters) and reports are
+reproducible byte for byte.
 """
 
 import math
 
 import numpy as np
-from scipy.stats import qmc
 
+from .errors import PreconditionError
 from .euclidean import EuclideanIsometry
 from .hyperbolic import HPoint, MoebiusIsometry
 from .wordballs import FinitelyGeneratedGroup
@@ -113,16 +114,41 @@ def get_group(name, **params):
     try:
         factory = GROUP_PRESETS[name]
     except KeyError:
-        raise KeyError("unknown preset %r; known: %s" % (name, ", ".join(sorted(GROUP_PRESETS))))
+        raise PreconditionError("unknown preset %r; known: %s"
+                                % (name, ", ".join(sorted(GROUP_PRESETS)))) from None
     return factory(**params)
 
 
 # -- deterministic samplers ------------------------------------------------
 
+def _first_primes(n):
+    primes, k = [], 2
+    while len(primes) < n:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def halton(count, dim=2, skip=20):
-    sampler = qmc.Halton(d=dim, scramble=False)
-    pts = sampler.random(count + skip)
-    return pts[skip:]
+    """Points skip .. skip + count - 1 of the unscrambled Halton sequence in
+    [0, 1)^dim, as a (count, dim) array (Halton 1960).
+
+    Coordinate j is the radical inverse of the point's index in the j-th
+    prime base.  The digits accumulate as v += r * f, with f divided by the
+    base once per digit; the tests hold this order to an independent Halton
+    sampler bit for bit, which an integer-ratio or Horner evaluation misses
+    in the last bit.
+    """
+    pts = np.zeros((count, dim))
+    for j, base in enumerate(_first_primes(dim)):
+        i = np.arange(skip, skip + count)
+        f = 1.0
+        while i.any():
+            i, r = np.divmod(i, base)
+            f /= base
+            pts[:, j] += r * f
+    return pts
 
 
 def sample_sl2z_domain(count, max_height=20.0):
@@ -186,4 +212,5 @@ def default_region(preset_name, count=1000):
         return sample_box_h2(count, (-2.0, 2.0), (0.25, 4.0))
     if preset_name == "octagon-genus2":
         return sample_hyperbolic_disk(octagon_center(), octagon_circumradius(), count)
-    raise KeyError("no default region for preset %r" % preset_name)
+    raise PreconditionError("no default region for preset %r; regions exist for sl2z, "
+                            "cusp-model, cyclic-hyperbolic, octagon-genus2" % preset_name)

@@ -17,7 +17,7 @@ Second, the integral lattice of the group of unipotent upper-triangular
 rationals; no floating point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math

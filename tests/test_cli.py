@@ -1,0 +1,93 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import latticelab
+from latticelab import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticelab.__file__)))
+
+# Runs the CLI with an import hook that refuses every scipy module.
+NO_SCIPY_MAIN = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is refused: " + name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from latticelab import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def report(argv, capsys):
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc = run_python("import sys, latticelab.cli\n"
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["thickthin"],
+                                  ["presentation", "--preset", "torus"]], ids=" ".join)
+def test_default_reports_run_without_scipy(argv, capsys):
+    proc = run_python(NO_SCIPY_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == report(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["thickthin", "--preset", "nope"],
+    ["thickthin", "--preset", "z2"],
+    ["psi-check", "--preset", "z2"],
+    ["span", "--preset", "z2"],
+    ["crystallo", "--preset", "sl2z"],
+    ["classify", "--matrix", "[[1,2],[3"],
+    ["classify", "--matrix", "[1,2]"],
+    ["classify", "--matrix", "[[2,0],[0,2]]"],
+    ["count-presentations", "--v-list", "1,x"],
+    ["chabauty", "--radius-list", "1,a"],
+    ["solvable", "--primes", "5,x"],
+    ["heisenberg", "--coords", "1,2"],
+    ["heisenberg", "--coords", "1/0,1,1"],
+], ids=" ".join)
+def test_bad_input_is_a_precondition_violation(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("precondition violated:")
+
+
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("presentation", "epsilon", "0.19"),
+    ("solvable", "m", "2"),
+])
+def test_config_file_matches_flags(subcommand, flag, value, tmp_path, capsys):
+    # The report echoes the --config path, so both runs name the same file:
+    # first holding no entries, then holding the flag's value.
+    config = tmp_path / "run.cfg"
+    config.write_text("# no entries\n")
+    with_flags = report(["--config", str(config), subcommand, "--" + flag, value], capsys)
+    config.write_text("%s = %s\n" % (flag, value))
+    assert report(["--config", str(config), subcommand], capsys) == with_flags
+
+
+@pytest.mark.parametrize("entry", ["bogus = 1", "samples = abc", "format = xml"])
+def test_bad_config_entry_is_a_precondition_violation(entry, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(entry + "\n")
+    assert cli.main(["--config", str(config), "presentation"]) == 2
+    assert capsys.readouterr().err.startswith("precondition violated:")

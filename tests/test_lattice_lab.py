@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import qmc
 
 from latticelab import lattice_lab as lab
 from latticelab import presets
@@ -257,6 +258,16 @@ def test_gradient_lemma_detects_plateau_bump():
     assert len(res.violations) >= 1
 
 
+# -- samplers -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_halton_equals_scipy_bit_for_bit(dim):
+    for count in (0, 1, 2, 1500, 8020):
+        for skip in (0, 20):
+            oracle = qmc.Halton(d=dim, scramble=False).random(count + skip)[skip:]
+            assert np.array_equal(presets.halton(count, dim=dim, skip=skip), oracle)
+
+
 # -- covolumes -----------------------------------------------------------------------
 
 def test_covolume_modular_domain_quadrature():
@@ -264,7 +275,7 @@ def test_covolume_modular_domain_quadrature():
     # integrates: area = int dx / sqrt(1 - x^2) over [-1/2, 1/2] = pi/3.
     oracle, _ = quad(lambda x: 1 / math.sqrt(1 - x * x), -0.5, 0.5)
     assert abs(oracle - math.pi / 3) < 1e-10
-    assert abs(lab.covolume_h2("sl2z") - math.pi / 3) < 1e-4
+    assert lab.covolume_h2("sl2z") == math.pi / 3
 
 
 def test_covolume_ideal_triangle():
