@@ -437,6 +437,8 @@ def mahler_subsequence(bases, max_covolume, min_shortest, tol=1e-6):
             raise PreconditionError("lattice %d has shortest vector %.6g < bound %.6g"
                                     % (i, sv, min_shortest))
         reduced.append(reduce_basis(b))
+    if not reduced:
+        raise PreconditionError("need at least one lattice")
     bound = (2.0 ** n) * (2.0 ** (n / 2.0)) * max_covolume / (min_shortest ** (n - 1))
     for i, b in enumerate(reduced):
         if np.linalg.norm(b, axis=1).max() > bound + 1e-6:

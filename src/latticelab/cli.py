@@ -254,12 +254,15 @@ def cmd_chabauty(args, config):
 
 
 def cmd_mahler(args, config):
-    if (args.family or "rotating") == "rotating":
+    family = args.family or "rotating"
+    if family == "rotating":
         bases = [np.array([[math.cos(1.0 / k), math.sin(1.0 / k)],
                            [-math.sin(1.0 / k), math.cos(1.0 / k)]])
                  for k in range(1, args.count + 1)]
-    else:
+    elif family == "diagonal":
         bases = [np.diag([1.0 / k, float(k)]) for k in range(1, args.count + 1)]
+    else:
+        raise PreconditionError("unknown mahler family %r; known: rotating, diagonal" % family)
     res = chabauty.mahler_subsequence(bases, args.covolume_bound, args.shortest_bound)
     return {
         "subsequence_length": len(res.indices),
@@ -326,10 +329,13 @@ def cmd_zassenhaus(args, config):
 
 
 def cmd_jordan(args, config):
-    if (args.group or "a5") == "a5":
+    name = args.group or "a5"
+    if name == "a5":
         elements = smallness.icosahedral_rotation_group()
-    else:
+    elif name == "q8":
         elements = smallness.quaternion_group_su2()
+    else:
+        raise PreconditionError("unknown jordan group %r; known: a5, q8" % name)
     rep = smallness.jordan_abelian_index(elements, args.epsilon)
     oracle_index, oracle_size = smallness.max_abelian_index_bruteforce(elements)
     return {
@@ -349,9 +355,12 @@ def cmd_crystallo(args, config):
 
 
 def cmd_recurrence(args, config):
-    if (args.family or "real") == "real":
+    family = args.family or "real"
+    if family == "real":
         hits = lattice_lab.recurrence_search_real(args.g, args.epsilon, args.n_max)
         return {"hits": hits[:200], "hit_count": len(hits)}
+    if family != "sl2z":
+        raise PreconditionError("unknown recurrence family %r; known: real, sl2z" % family)
     theta = args.g
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     g = MoebiusIsometry(((c, s), (-s, c)))

@@ -140,10 +140,10 @@ class MoebiusIsometry(mat2.Keyed):
     def trace(self):
         return mat2.tr(self.m)
 
-    def is_identity(self, tol=1e-9):
+    def is_identity(self):
         if self.exact:
             return self.m in ((1, 0, 0, 1), (-1, 0, 0, -1))
-        return mat2.frobenius_dist_to_identity(self.m) <= tol    # m is sign-canonical
+        return mat2.frobenius_dist_to_identity(self.m) <= 1e-9    # m is sign-canonical
 
     def key_entries(self):
         return self.m    # sign-canonical since __init__
@@ -176,11 +176,11 @@ class ContractionWitness:
     escaping: bool
 
 
-def sequence_contraction_witness(g_seq, gamma, escape_tol=1e-2):
+def sequence_contraction_witness(g_seq, gamma):
     """Frobenius distances ||g_n gamma g_n^-1 - 1|| along the sequence.
 
     Flags `escaping` when the norms are positive, nonincreasing, and end
-    below `escape_tol`: the conjugates crush gamma into the identity, which
+    below 1e-2: the conjugates crush gamma into the identity, which
     certifies that the g_n leave every compact set of the quotient.
     """
     norms = []
@@ -192,7 +192,7 @@ def sequence_contraction_witness(g_seq, gamma, escape_tol=1e-2):
         len(norms) >= 2
         and all(n > 0 for n in norms)
         and all(norms[i + 1] <= norms[i] + 1e-15 for i in range(len(norms) - 1))
-        and norms[-1] < escape_tol
+        and norms[-1] < 1e-2
     )
     return ContractionWitness(norms=norms, escaping=esc)
 
@@ -226,8 +226,7 @@ def _boundary_fixed_points(m):
 def _derivative_magnitude(m, z):
     a, b, c, d = (complex(x) for x in m)
     if z == INFINITY:
-        # |g'(infinity)| in the chart w = 1/z is |c/a|^... use the inverse at
-        # the image instead: infinity is attracting iff |a/d| > 1 when c = 0.
+        # In the chart w = 1/z, g'(infinity) = d/a when c = 0 (squared: same side of 1).
         if c == 0:
             return abs(d / a) ** 2
         return math.inf
@@ -241,16 +240,15 @@ def _order_axis(m, fp):
     return (q, p) if dp < 1 else (p, q)
 
 
-def classify(g, trace_band=TRACE_BAND):
+def classify(g):
     """Isometry trichotomy with attached geometric data.
 
     Real trace in (-2, 2) is elliptic (fixed interior point), trace +-2 is
     parabolic (unless the element is the identity), anything else attains a
     positive minimal displacement along an invariant axis.  Float verdicts
-    within `trace_band` of the parabolic locus raise
+    within TRACE_BAND of the parabolic locus raise
     BorderlineClassificationError carrying the candidate classes.
     """
-    m = g.m
     if g.is_identity():
         fixed = HPoint(0, 0, 1) if g.is_complex else HPoint(0, 1)
         return IsometryClass(kind=IDENTITY, fixed_interior=fixed)
@@ -269,8 +267,8 @@ def classify(g, trace_band=TRACE_BAND):
     t = complex(t)
     off_real = abs(t.imag)
     gap = abs(abs(t.real) - 2.0)
-    if off_real <= trace_band:
-        if gap <= trace_band:
+    if off_real <= TRACE_BAND:
+        if gap <= TRACE_BAND:
             raise BorderlineClassificationError(
                 (PARABOLIC, ELLIPTIC if abs(t.real) < 2 else HYPERBOLIC),
                 detail="| |tr| - 2 | = %.3g" % gap,
@@ -326,9 +324,9 @@ def _finish_classification(g, kind):
     return IsometryClass(kind=HYPERBOLIC, translation_length=length, axis=axis)
 
 
-def translation_length(g, trace_band=TRACE_BAND):
+def translation_length(g):
     """inf over the model of the displacement function (0 when not attained)."""
-    return classify(g, trace_band=trace_band).translation_length
+    return classify(g).translation_length
 
 
 def same_boundary_point(p, q, tol=1e-7):

@@ -32,9 +32,9 @@ def basepoint(n):
     return e0
 
 
-def validate_point(x, tol=1e-8):
+def validate_point(x):
     x = np.asarray(x, dtype=float)
-    if abs(q_inner(x, x) + 1.0) > tol or x[0] <= 0:
+    if abs(q_inner(x, x) + 1.0) > 1e-8 or x[0] <= 0:
         raise InvalidPointError("not on the upper hyperboloid sheet: %r" % (x,))
     return x
 
@@ -58,12 +58,12 @@ class LorentzIsometry(mat2.Keyed):
 
     __slots__ = ("a", "n")
 
-    def __init__(self, a, tol=1e-8):
+    def __init__(self, a):
         a = np.asarray(a, dtype=float)
         n = a.shape[0] - 1
         q = minkowski_form(n)
         err = np.linalg.norm(a.T @ q @ a - q)
-        if err > tol:
+        if err > 1e-8:
             raise ValueError("matrix does not preserve the Minkowski form (residual %g)" % err)
         if a[0, 0] <= 0:
             raise ValueError("matrix swaps the hyperboloid sheets")
@@ -83,8 +83,8 @@ class LorentzIsometry(mat2.Keyed):
     def displacement(self, x):
         return hdistance(self.apply(x), x)
 
-    def is_identity(self, tol=1e-9):
-        return np.linalg.norm(self.a - np.eye(self.n + 1)) <= tol
+    def is_identity(self):
+        return np.linalg.norm(self.a - np.eye(self.n + 1)) <= 1e-9
 
     def key_entries(self):
         return tuple(self.a.ravel().tolist())
@@ -164,8 +164,8 @@ class MinDisplacementSearch:
     attained: bool       # heuristic: did the minimizer stay inside the grid?
 
 
-def min_displacement_search(g, radius=8.0, samples=400, refine=40, seed=7):
-    """Coarse random search plus greedy refinement of inf d_g.
+def min_displacement_search(g, radius=8.0, samples=400, seed=7):
+    """Coarse random search plus 40 rounds of greedy refinement of inf d_g.
 
     `attained` is a heuristic flag: False when the search keeps improving by
     pushing toward the boundary of the search ball, the numerical signature
@@ -183,7 +183,7 @@ def min_displacement_search(g, radius=8.0, samples=400, refine=40, seed=7):
         if d < best:
             best, best_x = d, x
     step = 0.5
-    for _ in range(refine):
+    for _ in range(40):
         improved = False
         for i in range(n):
             for sgn in (1.0, -1.0):
@@ -217,7 +217,14 @@ class LorentzClass:
     evidence: dict = field(default_factory=dict)
 
 
-def classify_lorentz(g, eig_tol=1e-4, search=None):
+# Gate on the hyperbolic branch of classify_lorentz: defective parabolic
+# matrices scatter their unit eigenvalues by about the cube root of machine
+# epsilon, so translation lengths below the gate are indistinguishable from
+# zero and classify as parabolic or elliptic instead.
+_EIG_GATE = 1e-4
+
+
+def classify_lorentz(g):
     """Trichotomy in the hyperboloid model.
 
     Eigenvalue structure decides: a real eigenvalue lambda > 1 (with its
@@ -226,18 +233,13 @@ def classify_lorentz(g, eig_tol=1e-4, search=None):
     one without a timelike fixed vector is parabolic.  The parabolic verdict
     is cross-checked by displacement minimization and reported certified=False
     (floating point cannot certify an unattained zero infimum).
-
-    `eig_tol` gates the hyperbolic branch: defective parabolic matrices
-    scatter their unit eigenvalues by about the cube root of machine epsilon,
-    so translation lengths below the gate are indistinguishable from zero and
-    classify as parabolic or elliptic instead.
     """
     if g.is_identity():
         return LorentzClass(kind=hyperbolic.IDENTITY, fixed_point=basepoint(g.n))
     evals, evecs = np.linalg.eig(g.a)
     lam_idx = int(np.argmax(np.abs(evals)))
     lam = evals[lam_idx]
-    if abs(lam) > 1 + eig_tol and abs(lam.imag) <= eig_tol * abs(lam):
+    if abs(lam) > 1 + _EIG_GATE and abs(lam.imag) <= _EIG_GATE * abs(lam):
         # Top eigenvalue of a Lorentz element is real and positive with a
         # null eigenvector; its inverse pairs with the other end of the axis.
         length = math.log(abs(lam))
@@ -262,7 +264,7 @@ def classify_lorentz(g, eig_tol=1e-4, search=None):
                 break
     if fixed_timelike is not None:
         return LorentzClass(kind=hyperbolic.ELLIPTIC, fixed_point=fixed_timelike)
-    result = search or min_displacement_search(g)
+    result = min_displacement_search(g)
     return LorentzClass(
         kind=hyperbolic.PARABOLIC,
         attained=False,

@@ -6,6 +6,7 @@ scans, the displacement Morse function and its gradient-vanishing check,
 hyperbolic covolumes, recurrence searches, and the matrix-span check.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,8 +21,10 @@ from .wordballs import displacements_at, stack_moebius, word_ball
 
 
 class BallGeometry:
-    """A word ball with cached per-element classification and displacement
-    batching; the precomputation shared by the scan-style experiments."""
+    """A word ball with the precomputation the scan-style experiments share:
+    batched displacements, each element's class (computed on first use, at
+    most once), the translation lengths, and the short-element component
+    rule of the thick-thin decomposition and the Margulis lemma."""
 
     def __init__(self, group, radius):
         self.group = group
@@ -29,6 +32,7 @@ class BallGeometry:
         ball = word_ball(group, radius)
         self.words = [w for w, _ in ball.nontrivial()]
         self.elements = [e for _, e in ball.nontrivial()]
+        self._classes = {}
 
     def __len__(self):
         return len(self.elements)
@@ -37,16 +41,28 @@ class BallGeometry:
     def stacked(self):
         return stack_moebius(self.elements)
 
-    @cached_property
-    def classes(self):
-        return [hyperbolic.classify(e) for e in self.elements]
+    def classify(self, i):
+        """hyperbolic.classify of the i-th element."""
+        cls = self._classes.get(i)
+        if cls is None:
+            cls = self._classes[i] = hyperbolic.classify(self.elements[i])
+        return cls
 
+    @cached_property
     def translation_lengths(self):
-        return np.array([c.translation_length for c in self.classes])
+        return np.array([self.classify(i).translation_length for i in range(len(self))])
 
     def displacements(self, point):
         stacked = self.stacked if isinstance(point, HPoint) else None
         return displacements_at(self.elements, point, stacked)
+
+    def components(self, indices, groups):
+        """The component of each element in `indices`, as an index into
+        `groups`: a list of (kind, data) that gains an entry for each new
+        component.  Tubes share an axis, cusps a boundary fixed point and
+        cones an interior fixed point."""
+        return [_match_component(groups, *_component_signature(self.classify(i)))
+                for i in indices]
 
 
 # -- injectivity radius ----------------------------------------------------
@@ -59,7 +75,7 @@ class InjectivityRadius:
     radius_used: int
 
 
-def injectivity_radius(group, x, radius, geometry=None):
+def injectivity_radius(group, x, radius):
     """Half the least displacement at x over nontrivial ball elements.
 
     Nonincreasing in the ball radius; `stabilized` flags a minimizer strictly
@@ -68,7 +84,7 @@ def injectivity_radius(group, x, radius, geometry=None):
     """
     if radius < 1:
         raise PreconditionError("ball radius must be >= 1")
-    bg = geometry or BallGeometry(group, radius)
+    bg = BallGeometry(group, radius)
     if not bg.elements:
         raise PreconditionError("empty nontrivial ball")
     disp = bg.displacements(x)
@@ -126,13 +142,13 @@ def _component_signature(cls):
     return ("cone", cls.fixed_interior)
 
 
-def _match_component(groups, sig_kind, data, tol=1e-7):
+def _match_component(groups, sig_kind, data):
     for idx, (kind, ref) in enumerate(groups):
         if kind != sig_kind:
             continue
-        if kind == "tube" and hyperbolic.same_axis(ref, data, tol):
+        if kind == "tube" and hyperbolic.same_axis(ref, data):
             return idx
-        if kind == "cusp" and hyperbolic.same_boundary_point(ref, data, tol):
+        if kind == "cusp" and hyperbolic.same_boundary_point(ref, data):
             return idx
         if kind == "cone" and ref.close_to(data, 1e-6):
             return idx
@@ -140,7 +156,7 @@ def _match_component(groups, sig_kind, data, tol=1e-7):
     return len(groups) - 1
 
 
-def thick_thin_scan(group, epsilon, samples, radius, geometry=None):
+def thick_thin_scan(group, epsilon, samples, radius):
     """Mark samples thin where 2 InjRad < epsilon and group the short
     elements by shared axis (tubes) or shared boundary fixed point (cusps).
 
@@ -149,52 +165,43 @@ def thick_thin_scan(group, epsilon, samples, radius, geometry=None):
     A sample whose witnesses straddle two different groups is reported
     unresolved ("increase the ball radius").
     """
-    bg = geometry or BallGeometry(group, radius)
+    bg = BallGeometry(group, radius)
     if not bg.elements:
         raise PreconditionError("empty nontrivial ball")
-    groups = []                     # (kind, identifying data)
-    members = {}                    # component index -> dict with samples/witness idx
+    groups = []                     # (kind, identifying data) per component
+    witnesses = defaultdict(set)    # component -> indices of its short elements
+    held = defaultdict(list)        # component -> samples inside it
     thick, unresolved = [], []
-    class_cache = {}
 
     for p in samples:
-        disp = bg.displacements(p)
-        short_idx = np.nonzero(disp < epsilon)[0]
-        if short_idx.size == 0:
+        short = np.nonzero(bg.displacements(p) < epsilon)[0].tolist()
+        if not short:
             thick.append(p)
             continue
-        comp_ids = set()
-        for i in short_idx:
-            i = int(i)
-            if i not in class_cache:
-                class_cache[i] = hyperbolic.classify(bg.elements[i])
-            kind, data = _component_signature(class_cache[i])
-            cid = _match_component(groups, kind, data)
-            comp_ids.add(cid)
-            rec = members.setdefault(cid, {"witness_idx": set(), "samples": []})
-            rec["witness_idx"].add(i)
-        if len(comp_ids) > 1:
+        ids = bg.components(short, groups)
+        for cid, i in zip(ids, short):
+            witnesses[cid].add(i)
+        if len(set(ids)) > 1:
             unresolved.append(p)
         else:
-            members[comp_ids.pop()]["samples"].append(p)
+            held[ids[0]].append(p)
 
     thin_components, cone_components = [], []
     for cid, (kind, data) in enumerate(groups):
-        rec = members.get(cid, {"witness_idx": set(), "samples": []})
-        widx = sorted(rec["witness_idx"])
+        widx = sorted(witnesses[cid])
         words = [bg.words[i] for i in widx]
         if kind == "tube":
-            core = min(class_cache[i].translation_length for i in widx)
+            core = min(bg.classify(i).translation_length for i in widx)
             thin_components.append(ThinComponentReport(
-                kind="tube", witnesses=words, samples=rec["samples"],
+                kind="tube", witnesses=words, samples=held[cid],
                 core_length=core, axis=data))
         elif kind == "cusp":
             thin_components.append(ThinComponentReport(
-                kind="cusp", witnesses=words, samples=rec["samples"],
+                kind="cusp", witnesses=words, samples=held[cid],
                 fixed_point=data))
         else:
             cone_components.append(ConeComponentReport(
-                fixed_point=data, witnesses=words, samples=rec["samples"]))
+                fixed_point=data, witnesses=words, samples=held[cid]))
     return ThickThinResult(
         epsilon=epsilon,
         radius_used=bg.radius,
@@ -218,15 +225,15 @@ def standard_bump(epsilon):
     return f
 
 
-def plateau_bump(epsilon, level=0.1):
-    """Adversarial control: constant on (0, eps/2), so its sum has vanishing
-    gradient where it does not vanish.  Used to confirm the gradient check is
-    not vacuous."""
+def plateau_bump(epsilon):
+    """Adversarial control: constant 0.1 on (0, eps/2), so its sum has
+    vanishing gradient where it does not vanish.  Used to confirm the
+    gradient check is not vacuous."""
     base = standard_bump(epsilon)
     def f(t):
         if t < epsilon / 2.0:
-            return level
-        return min(base(t), level)
+            return 0.1
+        return min(base(t), 0.1)
     return f
 
 
@@ -238,73 +245,64 @@ class PsiReport:
     boundary_disagreements: int
 
 
-def psi_report(group, x, epsilon, radius, bump=None, domain_tol=1e-9, geometry=None):
+def psi_report(group, x, epsilon, radius, bump=None):
     """Sum of f(d_gamma(x) - |gamma|) over nontrivial ball elements with
-    |gamma| <= epsilon.
+    |gamma| <= epsilon, f the bump (default `standard_bump`).
 
     Raises DomainError when x sits on the min-set of a semisimple element
-    (where the summand's argument degenerates to 0); parabolic elements have
-    empty min-sets and may contribute arbitrarily large summands instead.
-    Elements whose membership by |gamma| <= epsilon disagrees with the
-    displacement test d_gamma(x) < epsilon at this x are counted in
-    `boundary_disagreements`.
+    (where the summand's argument degenerates to 0, up to 1e-9); parabolic
+    elements have empty min-sets and may contribute arbitrarily large
+    summands instead.  Elements whose membership by |gamma| <= epsilon
+    disagrees with the displacement test d_gamma(x) < epsilon at this x are
+    counted in `boundary_disagreements`.
     """
-    bg = geometry or BallGeometry(group, radius)
+    return _psi(BallGeometry(group, radius), x, epsilon, bump)
+
+
+def _psi(bg, x, epsilon, bump):
     f = bump or standard_bump(epsilon)
-    lengths = bg.translation_lengths()
+    lengths = bg.translation_lengths
     disp = bg.displacements(x)
-    value = 0.0
-    support = 0
-    short = 0
-    disagreements = 0
-    for i, cls in enumerate(bg.classes):
-        if lengths[i] > epsilon:
-            if disp[i] < epsilon:
-                disagreements += 1
-            continue
-        short += 1
+    short = lengths <= epsilon
+    value, support = 0.0, 0
+    for i in np.flatnonzero(short).tolist():
         t = float(disp[i] - lengths[i])
-        if cls.attained and t <= domain_tol:
+        if t <= 1e-9 and bg.classify(i).attained:
             raise DomainError(
                 "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
-        if disp[i] >= epsilon:
-            disagreements += 1
         ft = f(t)
         if ft != 0.0:
             support += 1
             value += ft
     return PsiReport(value=value, support_size=support,
-                     short_set_size=short, boundary_disagreements=disagreements)
+                     short_set_size=int(np.count_nonzero(short)),
+                     boundary_disagreements=int(np.count_nonzero(short != (disp < epsilon))))
 
 
-def psi_value(group, x, epsilon, radius, bump=None, domain_tol=1e-9, geometry=None):
-    return psi_report(group, x, epsilon, radius, bump=bump,
-                      domain_tol=domain_tol, geometry=geometry).value
+def psi_value(group, x, epsilon, radius, bump=None):
+    return psi_report(group, x, epsilon, radius, bump=bump).value
 
 
 def _shift_point(x, delta):
-    coords = list(x.coords)
-    out = []
-    for i, c in enumerate(coords):
-        out.append(c + delta[i])
-    return HPoint(*out)
+    return HPoint(*(c + d for c, d in zip(x.coords, delta)))
 
 
-def psi_gradient(group, x, epsilon, radius, h, bump=None, geometry=None):
+def psi_gradient(group, x, epsilon, radius, h, bump=None):
     """Central-difference gradient of the displacement Morse function."""
+    return _psi_gradient(BallGeometry(group, radius), x, epsilon, h, bump)
+
+
+def _psi_gradient(bg, x, epsilon, h, bump):
     if h <= 0:
         raise PreconditionError("finite-difference step must be positive")
-    bg = geometry or BallGeometry(group, radius)
     dim = len(x.coords)
     grad = np.zeros(dim)
     for i in range(dim):
         delta = [0.0] * dim
         delta[i] = h
-        up = psi_value(group, _shift_point(x, delta), epsilon, radius,
-                       bump=bump, geometry=bg)
+        up = _psi(bg, _shift_point(x, delta), epsilon, bump).value
         delta[i] = -h
-        dn = psi_value(group, _shift_point(x, delta), epsilon, radius,
-                       bump=bump, geometry=bg)
+        dn = _psi(bg, _shift_point(x, delta), epsilon, bump).value
         grad[i] = (up - dn) / (2.0 * h)
     return grad
 
@@ -320,21 +318,21 @@ class GradientLemmaResult:
         return not self.violations
 
 
-def gradient_lemma_check(group, epsilon, samples, radius, h,
-                         tol=1e-9, grad_tol=1e-6, bump=None, geometry=None):
+def gradient_lemma_check(group, epsilon, samples, radius, h, bump=None):
     """Empty violation list iff at every sample the gradient vanishes exactly
     where the function does: (psi <= tol and |grad| <= grad_tol) or
-    (psi > tol and |grad| > grad_tol).  Samples with psi in (tol, 2 tol] are
-    borderline: excluded and counted."""
-    bg = geometry or BallGeometry(group, radius)
+    (psi > tol and |grad| > grad_tol), with tol = 1e-9 and grad_tol = 1e-6.
+    Samples with psi in (tol, 2 tol] are borderline: excluded and counted.
+    One word ball serves every psi evaluation."""
+    tol, grad_tol = 1e-9, 1e-6
+    bg = BallGeometry(group, radius)
     violations, borderline, checked = [], 0, 0
     for p in samples:
-        value = psi_value(group, p, epsilon, radius, bump=bump, geometry=bg)
+        value = _psi(bg, p, epsilon, bump).value
         if tol < value <= 2.0 * tol:
             borderline += 1
             continue
-        g = float(np.linalg.norm(
-            psi_gradient(group, p, epsilon, radius, h, bump=bump, geometry=bg)))
+        g = float(np.linalg.norm(_psi_gradient(bg, p, epsilon, h, bump)))
         checked += 1
         small_psi = value <= tol
         small_grad = g <= grad_tol

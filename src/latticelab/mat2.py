@@ -52,10 +52,6 @@ def is_exact(xs):
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
 
-def identity():
-    return (1, 0, 0, 1)
-
-
 def _sign_key(x):
     # Order on reals; on complexes: real part, ties by imaginary part.
     if isinstance(x, complex):

@@ -9,7 +9,8 @@ bound for finite subgroups of compact groups, quasi-morphism defects, and
 the short-element subgroup at a point of hyperbolic space.
 
 Distance to the identity is Frobenius throughout (cheap, submultiplicative);
-subgroups of SO(3)/SU(2) may use the exact rotation-angle metric instead.
+`rotation_angle_distance` gives the exact rotation-angle metric of SO(3) for
+comparison.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from . import hyperbolic, mat2
+from . import mat2
 from .errors import PreconditionError
 from .mat2 import (frobenius_norm, frobenius_to_identity, mat_dim, mat_from, mat_inv,
                    mat_is_exact, mat_is_identity, mat_mul)
@@ -37,16 +38,10 @@ def mat_key(m):
                  if isinstance(x, complex) else round(x / _LADDER_GRID) for x in _flat(m))
 
 
-def rotation_angle_distance(m, kind="so3"):
-    """Exact rotation-angle metric to the identity on SO(3) or SU(2)."""
-    a = np.asarray(m)
-    if kind == "so3":
-        c = (np.trace(a).real - 1.0) / 2.0
-        return math.acos(min(1.0, max(-1.0, c)))
-    if kind == "su2":
-        c = np.trace(a).real / 2.0
-        return 2.0 * math.acos(min(1.0, max(-1.0, abs(c))))
-    raise PreconditionError("unknown angle metric %r" % kind)
+def rotation_angle_distance(m):
+    """Exact rotation-angle metric to the identity on SO(3)."""
+    c = (np.trace(np.asarray(m)).real - 1.0) / 2.0
+    return math.acos(min(1.0, max(-1.0, c)))
 
 
 # -- commutators and ladders -----------------------------------------------------
@@ -145,17 +140,17 @@ class NilpotencyVerdict:
                 else "class %d" % self.nilpotency_class)
 
 
-def nilpotency_class(s, cutoff, float_tol=1e-10):
+def nilpotency_class(s, cutoff):
     """Least N <= cutoff with the level-N commutator set trivial.
 
-    Exact entries give an exact verdict; floats decide triviality at
-    `float_tol` and say so in the verdict."""
+    Exact entries give an exact verdict; floats decide triviality within
+    1e-10 of the identity and say so in the verdict."""
     ms = s if isinstance(s, MatrixSet) else MatrixSet.from_data(s)
     exact = ms.exact
     def trivial(level):
         if exact:
             return all(mat_is_identity(m) for m in level)
-        return all(frobenius_to_identity(m) <= float_tol for m in level)
+        return all(frobenius_to_identity(m) <= 1e-10 for m in level)
     current = ms.matrices
     if trivial(current):
         return NilpotencyVerdict(nilpotency_class=0, exact=exact)
@@ -210,9 +205,9 @@ class JordanReport:
     epsilon: float
 
 
-def jordan_abelian_index(elements, epsilon, metric="frobenius"):
-    """Index of the subgroup generated by the elements within epsilon of the
-    identity in a finite matrix group.
+def jordan_abelian_index(elements, epsilon):
+    """Index of the subgroup generated by the elements within Frobenius
+    distance epsilon of the identity in a finite matrix group.
 
     Small generators land in a commutator-contraction neighborhood, so the
     subgroup they generate is abelian; the report verifies commutativity
@@ -222,12 +217,8 @@ def jordan_abelian_index(elements, epsilon, metric="frobenius"):
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
     _check_closed(elements)
-    if metric == "frobenius":
-        dist = frobenius_to_identity
-    else:
-        dist = lambda m: rotation_angle_distance(m, kind=metric)
     # The identity is at distance 0, so it is a seed whenever it is present.
-    seeds = [m for m in elements if dist(m) <= epsilon]
+    seeds = [m for m in elements if frobenius_to_identity(m) <= epsilon]
     if not seeds:
         raise PreconditionError("identity missing from the group")
     sub = _closure(seeds, len(elements), "subgroup closure")
@@ -349,10 +340,18 @@ class ShortSubgroupReport:
     fixed_interior: object = None
 
 
-def margulis_short_subgroup(group, x, epsilon, word_cutoff, geometry=None):
+# Report kind and data field of each component kind of the thick-thin rule
+_ELEMENTARY = {"tube": ("elementary-hyperbolic", "axis"),
+               "cusp": ("elementary-parabolic", "fixed_boundary"),
+               "cone": ("elementary-elliptic", "fixed_interior")}
+
+
+def margulis_short_subgroup(group, x, epsilon, word_cutoff):
     """Word-ball elements displacing x by at most epsilon, classified as an
-    elementary group when they share an axis (tube type), a boundary fixed
-    point (cusp type) or an interior fixed point (cone type, torsion).
+    elementary group when they form one component of the thick-thin rule
+    (`BallGeometry.components`): a shared axis (tube type), a shared
+    boundary fixed point (cusp type) or a shared interior fixed point (cone
+    type, torsion).
 
     Borderline classification of a short element propagates as an error.
     """
@@ -360,33 +359,14 @@ def margulis_short_subgroup(group, x, epsilon, word_cutoff, geometry=None):
         raise PreconditionError("word cutoff must be >= 1")
     if not isinstance(group, FinitelyGeneratedGroup):
         group = FinitelyGeneratedGroup(list(group))
-    bg = geometry or BallGeometry(group, word_cutoff)
-    disp = bg.displacements(x)
-    idx = [int(i) for i in np.nonzero(disp <= epsilon)[0]]
-    words = [bg.words[i] for i in idx]
-    if not idx:
-        return ShortSubgroupReport(kind="trivial", short_words=[],
-                                   epsilon=epsilon, cutoff=word_cutoff)
-    classes = [hyperbolic.classify(bg.elements[i]) for i in idx]
-    kinds = {c.kind for c in classes}
-    if kinds == {hyperbolic.HYPERBOLIC}:
-        axis = classes[0].axis
-        if all(hyperbolic.same_axis(axis, c.axis) for c in classes[1:]):
-            return ShortSubgroupReport(kind="elementary-hyperbolic",
-                                       short_words=words, epsilon=epsilon,
-                                       cutoff=word_cutoff, axis=axis)
-    elif kinds == {hyperbolic.PARABOLIC}:
-        fp = classes[0].fixed_boundary
-        if all(hyperbolic.same_boundary_point(fp, c.fixed_boundary) for c in classes[1:]):
-            return ShortSubgroupReport(kind="elementary-parabolic",
-                                       short_words=words, epsilon=epsilon,
-                                       cutoff=word_cutoff, fixed_boundary=fp)
-    elif kinds == {hyperbolic.ELLIPTIC}:
-        fp = classes[0].fixed_interior
-        if all(fp.close_to(c.fixed_interior, 1e-6) for c in classes[1:]):
-            return ShortSubgroupReport(kind="elementary-elliptic",
-                                       short_words=words, epsilon=epsilon,
-                                       cutoff=word_cutoff, fixed_interior=fp)
-    return ShortSubgroupReport(kind="not-elementary-within-cutoff",
-                               short_words=words, epsilon=epsilon,
-                               cutoff=word_cutoff)
+    bg = BallGeometry(group, word_cutoff)
+    idx = np.nonzero(bg.displacements(x) <= epsilon)[0].tolist()
+    groups = []
+    bg.components(idx, groups)
+    report = dict(short_words=[bg.words[i] for i in idx], epsilon=epsilon, cutoff=word_cutoff)
+    if len(groups) != 1:
+        kind = "not-elementary-within-cutoff" if groups else "trivial"
+        return ShortSubgroupReport(kind=kind, **report)
+    (kind, data), = groups
+    name, data_field = _ELEMENTARY[kind]
+    return ShortSubgroupReport(kind=name, **report, **{data_field: data})

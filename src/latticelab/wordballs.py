@@ -274,7 +274,11 @@ def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=N
         nxt = []
         for lo in range(0, len(frontier), CHUNK):
             chunk = frontier[lo:lo + CHUNK]
-            keys, element, alternates = candidates(chunk)
+            try:
+                keys, element, alternates = candidates(chunk)
+            except ValueError as exc:    # e.g. a float product off determinant one
+                raise PreconditionError("%s: a product of word length %d failed: %s"
+                                        % (label, layer, exc)) from None
             for i, k in enumerate(keys):
                 if k in seen or not seen.isdisjoint(alternates(i, k)):
                     continue
@@ -315,7 +319,7 @@ def word_ball(group, radius, cap=WORD_BALL_CAP):
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     entries = _bfs(group.identity(), group.symmetric_generators(), radius=radius, cap=cap,
-                   label="word ball", words=True)
+                   label="word ball of radius %d" % radius, words=True)
     return WordBall(radius=radius, entries=entries)
 
 

@@ -65,6 +65,14 @@ def test_default_reports_run_without_scipy(argv, capsys):
     ["solvable", "--primes", "5,x"],
     ["heisenberg", "--coords", "1,2"],
     ["heisenberg", "--coords", "1/0,1,1"],
+    ["thickthin", "--preset", "octagon-genus2"],
+    ["psi-check", "--preset", "octagon-genus2"],
+    ["span", "--preset", "octagon-genus2"],
+    ["mahler", "--count", "0"],
+    ["mahler", "--count", "-1"],
+    ["mahler", "--family", "bogus", "--count", "1"],
+    ["jordan", "--group", "bogus"],
+    ["recurrence", "--family", "bogus"],
 ], ids=" ".join)
 def test_bad_input_is_a_precondition_violation(argv, capsys):
     assert cli.main(argv) == 2

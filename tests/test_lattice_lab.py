@@ -1,3 +1,4 @@
+from collections import Counter
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import qmc
 
 from latticelab import lattice_lab as lab
-from latticelab import presets
+from latticelab import hyperbolic, presets, smallness
 from latticelab.errors import DomainError, PreconditionError
 from latticelab.hyperbolic import HPoint, MoebiusIsometry, displacement
 from latticelab.wordballs import FinitelyGeneratedGroup, word_ball
@@ -173,6 +174,34 @@ def test_thin_witnesses_commute_or_share_structure(sl2z):
         if comp.kind == "cusp":
             assert all(same_boundary_point(c.fixed_boundary, comp.fixed_point)
                        for c in classes)
+
+
+def test_ball_geometry_classifies_each_element_at_most_once(sl2z, monkeypatch):
+    calls = Counter()
+    classify = hyperbolic.classify
+
+    def counting(g):
+        calls[id(g)] += 1
+        return classify(g)
+
+    monkeypatch.setattr(hyperbolic, "classify", counting)
+    rng = np.random.default_rng(5)
+    points = [HPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 4.0)) for _ in range(30)]
+    bg = lab.BallGeometry(sl2z, 5)
+    groups = []
+    for x in points:
+        bg.components(np.nonzero(bg.displacements(x) <= 0.8)[0].tolist(), groups)
+    assert 0 < len(calls) < len(bg)          # only short elements are classified
+    for x in points:
+        lab._psi(bg, x, 0.3, None)
+        lab._psi_gradient(bg, x, 0.3, 1e-4, None)
+    assert len(calls) == len(bg) and max(calls.values()) == 1
+    for run in (lambda: lab.thick_thin_scan(sl2z, 0.8, points, 5),
+                lambda: lab.gradient_lemma_check(sl2z, 0.3, points, 5, 1e-4),
+                lambda: smallness.margulis_short_subgroup(sl2z, HPoint(0, 1), 1.0, 5)):
+        calls.clear()
+        run()
+        assert max(calls.values()) == 1
 
 
 # -- the displacement Morse function ---------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latticelab import lattice_lab as lab
 from latticelab import mat2, presets
 from latticelab import smallness as sm
 from latticelab.errors import CapExceededError, PreconditionError
@@ -222,3 +223,51 @@ def test_short_subgroup_cyclic_hyperbolic_on_axis():
     assert rep.kind == "elementary-hyperbolic"
     assert rep.axis is not None
     assert sorted(rep.short_words) == [(-1,), (1,)]
+
+
+def test_short_subgroup_of_two_kinds_is_not_elementary(sl2z):
+    # At i the elliptic S displaces by 0 and the parabolic T by acosh(3/2) < 1.
+    rep = sm.margulis_short_subgroup(sl2z, HPoint(0, 1), 1.0, 6)
+    assert rep.kind == "not-elementary-within-cutoff"
+    assert {(1,), (2,), (-2,)} <= set(rep.short_words)
+    assert (rep.axis, rep.fixed_boundary, rep.fixed_interior) == (None, None, None)
+
+
+def scan_verdict(scan):
+    """(kind, data, witness words) of the one sample of a thick-thin scan,
+    in the terms of ShortSubgroupReport."""
+    if scan.thick_samples:
+        return "trivial", None, []
+    comps = scan.thin_components + scan.cone_components
+    words = sorted(w for c in comps for w in c.witnesses)
+    if scan.unresolved_samples:
+        return "not-elementary-within-cutoff", None, words
+    (comp,) = comps
+    if isinstance(comp, lab.ConeComponentReport):
+        return "elementary-elliptic", comp.fixed_point, words
+    if comp.kind == "tube":
+        return "elementary-hyperbolic", comp.axis, words
+    return "elementary-parabolic", comp.fixed_point, words
+
+
+def test_short_subgroup_agrees_with_a_one_sample_thick_thin_scan():
+    rng = np.random.default_rng(41)
+    seen = set()
+    for name in ("sl2z", "cusp-model", "cyclic-hyperbolic"):
+        group = presets.get_group(name)
+        for _ in range(60):
+            x = HPoint(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(-1.0, 2.5)))
+            eps = rng.uniform(0.05, 1.5)
+            rep = sm.margulis_short_subgroup(group, x, eps, 4)
+            # thick_thin_scan calls an element short when d < eps, Margulis when d <= eps.
+            scan = lab.thick_thin_scan(group, np.nextafter(eps, np.inf), [x], 4)
+            kind, data, words = scan_verdict(scan)
+            assert (kind, words) == (rep.kind, sorted(rep.short_words))
+            want = rep.axis if rep.axis is not None else (
+                rep.fixed_boundary if rep.fixed_boundary is not None else rep.fixed_interior)
+            if isinstance(want, HPoint):
+                data, want = data.coords, want.coords
+            assert data == want
+            seen.add(rep.kind)
+    assert seen == {"trivial", "elementary-hyperbolic", "elementary-parabolic",
+                    "elementary-elliptic", "not-elementary-within-cutoff"}

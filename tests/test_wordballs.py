@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from latticelab import mat2, presets, wordballs
-from latticelab.errors import CapExceededError
+from latticelab.errors import CapExceededError, PreconditionError
 from latticelab.euclidean import EuclideanIsometry
 from latticelab.hyperbolic import HPoint, MoebiusIsometry, displacement
 from latticelab.wordballs import FinitelyGeneratedGroup, displacement_pruned_ball, word_ball
@@ -87,6 +87,13 @@ def test_conjugate_octagon_ball_has_dehn_size():
 @pytest.fixture(scope="module")
 def octagon():
     return presets.octagon_genus2()
+
+
+def test_word_ball_names_the_word_length_of_a_rejected_product(octagon):
+    # Float products of length 6 drift past MoebiusIsometry's 1e-9 det check.
+    with pytest.raises(PreconditionError,
+                       match=r"word ball of radius 6: a product of word length 6 failed"):
+        word_ball(octagon, 6)
 
 
 def test_displacement_pruned_ball_stable_under_slack_and_matches_word_ball(octagon):
