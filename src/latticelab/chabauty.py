@@ -15,7 +15,6 @@ subsequences.
 """
 
 from dataclasses import dataclass, field
-import itertools
 import math
 
 import numpy as np
@@ -77,10 +76,16 @@ def greedy_reduce(basis, rounds=64):
     return b[np.argsort(np.linalg.norm(b, axis=1))]
 
 
+def _sqnorms(p):
+    """Row-wise p @ p, rounded as the one-row product is (a batched sum may
+    round differently)."""
+    return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
+
+
 def lattice_points_in_ball(basis, radius, cap=2_000_000):
-    """All lattice points of norm <= radius, by box enumeration over
-    coefficients (certified: the coefficient box contains every candidate
-    because ||z B|| >= sigma_min ||z||)."""
+    """All lattice points of norm <= radius as rows, by box enumeration over
+    coefficients in itertools.product order (certified: the coefficient box
+    contains every candidate because ||z B|| >= sigma_min ||z||)."""
     b = np.array(basis, dtype=float)
     m = b.shape[0]
     smin = np.linalg.svd(b, compute_uv=False).min()
@@ -89,12 +94,9 @@ def lattice_points_in_ball(basis, radius, cap=2_000_000):
     k = int(math.floor(radius / smin)) + 1
     if (2 * k + 1) ** m > cap:
         raise PreconditionError("enumeration box too large; reduce the basis or radius")
-    out = []
-    for z in itertools.product(range(-k, k + 1), repeat=m):
-        p = np.array(z, dtype=float) @ b
-        if p @ p <= radius * radius + 1e-12:
-            out.append(p)
-    return out
+    z = np.indices((2 * k + 1,) * m, dtype=float).reshape(m, -1).T - k
+    p = np.matmul(z[:, None, :], b)[:, 0]    # row by row: rounded as each z @ b
+    return p[_sqnorms(p) <= radius * radius + 1e-12]
 
 
 def shortest_vector(basis):
@@ -102,8 +104,8 @@ def shortest_vector(basis):
     the best reduced basis vector."""
     b = greedy_reduce(basis)
     best = b[0]
-    for p in lattice_points_in_ball(b, float(np.linalg.norm(best)) + 1e-9):
-        n2 = p @ p
+    pts = lattice_points_in_ball(b, float(np.linalg.norm(best)) + 1e-9)
+    for p, n2 in zip(pts, _sqnorms(pts)):
         if 1e-18 < n2 < best @ best - 1e-15:
             best = p
     return best
@@ -135,6 +137,10 @@ def _canonical_rows(b):
 
 
 # -- the closed subgroup type ----------------------------------------------------
+
+# Rows per (rows x pieces) block of ClosedSubgroupRn.distances_to.
+_BLOCK = 256
+
 
 @dataclass
 class ClosedSubgroupRn:
@@ -173,11 +179,6 @@ class ClosedSubgroupRn:
         return cls.from_parts(basis.shape[1], None, basis)
 
     @classmethod
-    def subspace(cls, basis):
-        basis = np.atleast_2d(np.array(basis, dtype=float))
-        return cls.from_parts(basis.shape[1], basis, None)
-
-    @classmethod
     def trivial(cls, n):
         return cls.from_parts(n)
 
@@ -195,39 +196,47 @@ class ClosedSubgroupRn:
 
     def truncation_pieces(self, radius):
         """The pieces of (V + L) inside the closed R-ball: one disk of V-
-        directions per lattice coset reachable within the ball.  Each piece
-        is (base in V-perp, disk radius); V-dim 0 pieces are points."""
-        if self.lattice_rank == 0:
-            bases = [np.zeros(self.n)]
-        else:
-            bases = lattice_points_in_ball(self.lattice_basis, radius)
-        out = []
-        for lam in bases:
-            r2 = radius * radius - float(lam @ lam)
-            if r2 >= -1e-12:
-                out.append((lam, math.sqrt(max(r2, 0.0))))
+        directions per lattice coset reachable within the ball.  Row i is
+        (base in V-perp, disk radius), shape (pieces, n + 1); V-dim 0 pieces
+        are points."""
+        bases = lattice_points_in_ball(self.lattice_basis, radius) if self.lattice_rank \
+            else np.zeros((1, self.n))
+        r2 = radius * radius - _sqnorms(bases)
+        keep = r2 >= -1e-12
+        return np.column_stack([bases[keep], np.sqrt(np.maximum(r2[keep], 0.0))])
+
+    def distances_to(self, xs, pieces):
+        """Euclidean distance from each row of xs to the truncation whose
+        `truncation_pieces` are given; inf when it is empty."""
+        xs = np.asarray(xs, dtype=float)
+        if not len(pieces):
+            return np.full(len(xs), math.inf)
+        lam, disk_r = pieces[:, :-1], pieces[:, -1]
+        if self.n == 1 and self.v_dim == 0:
+            # Nearest neighbours in the sorted points: memory linear in both.
+            b = np.sort(lam[:, 0])
+            x = xs[:, 0]
+            i = np.searchsorted(b, x)
+            return np.minimum(np.abs(x - b[np.maximum(i - 1, 0)]),
+                              np.abs(x - b[np.minimum(i, len(b) - 1)]))
+        out = np.empty(len(xs))
+        for s in range(0, len(xs), _BLOCK):
+            x = xs[s:s + _BLOCK]
+            p = lam[None]
+            if self.v_dim:
+                # Nearest point of each disk: the V-projection, clipped.
+                proj = x @ self.v_basis.T
+                norm_proj = np.sqrt(_sqnorms(proj))[:, None]
+                over = norm_proj > disk_r
+                scale = np.divide(disk_r, norm_proj, out=np.ones(over.shape), where=over)
+                p = lam + (proj[:, None, :] * scale[..., None]) @ self.v_basis
+            out[s:s + _BLOCK] = np.sqrt(_sqnorms(x[:, None, :] - p)).min(axis=1)
         return out
 
-    def distance_to(self, x, radius, pieces=None):
+    def distance_to(self, x, radius):
         """Euclidean distance from x to (subgroup intersect closed R-ball)."""
-        pieces = self.truncation_pieces(radius) if pieces is None else pieces
-        if not pieces:
-            return math.inf
-        x = np.asarray(x, dtype=float)
-        v = self.v_basis
-        best = math.inf
-        for lam, disk_r in pieces:
-            if self.v_dim == 0:
-                d = float(np.linalg.norm(x - lam))
-            else:
-                proj = (x @ v.T)
-                norm_proj = float(np.linalg.norm(proj))
-                if norm_proj > disk_r:
-                    proj = proj * (disk_r / norm_proj)
-                p = lam + proj @ v
-                d = float(np.linalg.norm(x - p))
-            best = min(best, d)
-        return best
+        x = np.reshape(np.asarray(x, dtype=float), (1, self.n))
+        return float(self.distances_to(x, self.truncation_pieces(radius))[0])
 
 
 def chabauty_distance(h1, h2, radius):
@@ -240,9 +249,9 @@ def chabauty_distance(h1, h2, radius):
     """
     p1 = h1.truncation_pieces(radius)
     p2 = h2.truncation_pieces(radius)
-    if not p1 and not p2:
+    if not len(p1) and not len(p2):
         return 0.0
-    if not p1 or not p2:
+    if not len(p1) or not len(p2):
         return float(radius)
     d12 = _directed_sup(h1, p1, h2, p2, radius)
     d21 = _directed_sup(h2, p2, h1, p1, radius)
@@ -250,38 +259,32 @@ def chabauty_distance(h1, h2, radius):
 
 
 def _directed_sup(ha, pieces_a, hb, pieces_b, radius):
+    lam, disk_r = pieces_a[:, :-1], pieces_a[:, -1]
     if ha.v_dim == 0:
-        return max(hb.distance_to(lam, radius, pieces=pieces_b) for lam, _ in pieces_a)
-    if ha.n == 1:
+        xs = lam
+    elif ha.n == 1:
         # Pieces of A are intervals of the line; B's truncation is a finite
         # union of points/intervals.  The sup of the distance function is
         # attained at an interval endpoint or at a midpoint between
         # consecutive B-pieces: finitely many candidates, all exact.
-        candidates = []
-        for lam, disk_r in pieces_a:
-            lo, hi = lam[0] - disk_r, lam[0] + disk_r
-            candidates += [lo, hi]
-            b_points = sorted(p[0] for p, _ in pieces_b)
-            for u, w in zip(b_points, b_points[1:]):
-                mid = (u + w) / 2.0
-                if lo <= mid <= hi:
-                    candidates.append(mid)
-        return max(hb.distance_to(np.array([c]), radius, pieces=pieces_b)
-                   for c in candidates)
-    # Continuous pieces in dimension >= 2: deterministic dense sampling.
-    sup = 0.0
-    grid = np.linspace(-1.0, 1.0, 41)
-    v = ha.v_basis
-    for lam, disk_r in pieces_a:
+        b = np.sort(pieces_b[:, 0])
+        mids = (b[:-1] + b[1:]) / 2.0
+        lo, hi = lam[:, 0] - disk_r, lam[:, 0] + disk_r
+        inside = ((lo <= mids[:, None]) & (mids[:, None] <= hi)).any(axis=1)
+        xs = np.concatenate([lo, hi, mids[inside]])[:, None]
+    else:
+        # Continuous pieces in dimension >= 2: deterministic dense sampling.
+        grid = np.linspace(-1.0, 1.0, 41)
+        v = ha.v_basis
         if ha.v_dim == 1:
-            samples = [lam + t * disk_r * v[0] for t in grid]
+            xs = lam[:, None, :] + (grid * disk_r[:, None])[..., None] * v[0]
         else:
-            samples = [lam + (t * v[0] + s * v[1]) * disk_r / math.sqrt(2)
-                       for t in grid[::4] for s in grid[::4]]
-        for x in samples:
-            if x @ x <= radius * radius + 1e-12:
-                sup = max(sup, hb.distance_to(x, radius, pieces=pieces_b))
-    return sup
+            g = grid[::4]
+            dirs = (g[:, None, None] * v[0] + g[None, :, None] * v[1]).reshape(-1, ha.n)
+            xs = lam[:, None, :] + dirs * disk_r[:, None, None] / math.sqrt(2)
+        xs = xs.reshape(-1, ha.n)
+        xs = xs[_sqnorms(xs) <= radius * radius + 1e-12]
+    return float(np.max(hb.distances_to(xs, pieces_b), initial=0.0))
 
 
 # -- limits -------------------------------------------------------------------
@@ -294,15 +297,16 @@ class ChabautyLimitResult:
     witness: tuple = None                            # (radius, distances) when failed
 
 
-def chabauty_limit(sequence, radii, tol=1e-3, merge_tol=1e-6):
+def chabauty_limit(sequence, radii, tol=1e-3):
     """Propose and verify a truncation-Hausdorff limit of closed subgroups.
 
-    Proposal: directions of the final subgroups whose reduced lattice vectors
-    stay below `merge_tol` for three consecutive terms merge into the
-    connected part; the remaining lattice vectors converge and the last term
-    represents them.  Verification: at every radius, the distance to the
-    proposal must be nonincreasing toward <= tol; otherwise the result
-    carries the oscillation witness.
+    Proposal: a direction whose reduced lattice vector is at most 2 tol long
+    in each of the last three terms merges into the connected part (aZ lies
+    within a/2 of the line at every radius: the midpoints); a direction
+    growing past the largest radius is dropped; the remaining lattice
+    vectors converge and the last term represents them.  Verification: at
+    every radius, each of the last three terms must lie within tol of the
+    proposal; otherwise the result carries the witness.
     """
     if len(sequence) < 3:
         raise PreconditionError("need at least three terms")
@@ -312,13 +316,9 @@ def chabauty_limit(sequence, radii, tol=1e-3, merge_tol=1e-6):
     merge_dirs = []
     keep_rows = []
     for i in range(last.lattice_rank):
-        norms = []
-        for h in tail:
-            if i < h.lattice_rank:
-                norms.append(float(np.linalg.norm(h.lattice_basis[i])))
-            else:
-                norms.append(math.inf)
-        if all(n < merge_tol for n in norms):
+        norms = [float(np.linalg.norm(h.lattice_basis[i])) if i < h.lattice_rank
+                 else math.inf for h in tail]
+        if all(n <= 2.0 * tol for n in norms):
             merge_dirs.append(last.lattice_basis[i])
         elif norms[0] < norms[1] < norms[2] and norms[2] > r_max:
             # Diverging direction: contributes nothing inside any tested
@@ -370,22 +370,19 @@ def sup_formula_check(lattice_basis, candidates):
     covol = covolume(lattice_basis)
     best, best_cand, count = 0.0, None, 0
     # Enumerate lattice points big enough for any candidate's difference set.
-    max_extent = 0.0
-    for cand in candidates:
-        if cand["kind"] == "box":
-            max_extent = max(max_extent, 2.0 * float(np.linalg.norm(cand["half_widths"])))
-        else:
-            max_extent = max(max_extent, 2.0 * cand["radius"])
-    pts = [p for p in lattice_points_in_ball(b, max_extent + 1e-9)
-           if p @ p > 1e-18]
+    extents = [2.0 * float(np.linalg.norm(c["half_widths"])) if c["kind"] == "box"
+               else 2.0 * c["radius"] for c in candidates]
+    pts = lattice_points_in_ball(b, max(extents, default=0.0) + 1e-9)
+    n2 = _sqnorms(pts)
+    pts, n2 = pts[n2 > 1e-18], n2[n2 > 1e-18]
     for cand in candidates:
         if cand["kind"] == "box":
             hw = np.asarray(cand["half_widths"], dtype=float)
-            admissible = all(np.any(np.abs(p) >= 2.0 * hw - 1e-12) for p in pts)
+            admissible = bool(np.all(np.any(np.abs(pts) >= 2.0 * hw - 1e-12, axis=1)))
             vol = float(np.prod(2.0 * hw))
         elif cand["kind"] == "disk":
             r = float(cand["radius"])
-            admissible = all(p @ p >= (2.0 * r) ** 2 - 1e-12 for p in pts)
+            admissible = bool(np.all(n2 >= (2.0 * r) ** 2 - 1e-12))
             vol = math.pi * r * r if n == 2 else (2.0 * r if n == 1 else None)
             if vol is None:
                 raise PreconditionError("disk candidates only in dimensions 1 and 2")

@@ -243,7 +243,7 @@ def cmd_chabauty(args, config):
             [[math.cos(1.0 / k), math.sin(1.0 / k)]]) for k in range(1, args.count + 1)]
     else:
         raise PreconditionError("chabauty families: one-over-n, n-z, rotating-z1")
-    res = chabauty.chabauty_limit(seq, radii, tol=args.tol, merge_tol=args.merge_tol)
+    res = chabauty.chabauty_limit(seq, radii, tol=args.tol)
     return {
         "converged": res.converged,
         "limit_v_dim": res.limit.v_dim,
@@ -424,7 +424,6 @@ def build_parser():
     sp.add_argument("--count", type=int, default=50)
     sp.add_argument("--radius-list", default="1,2,4", dest="radius_list")
     sp.add_argument("--tol", type=float, default=2e-2)
-    sp.add_argument("--merge-tol", type=float, default=1e-6, dest="merge_tol")
     sp = sub.add_parser("mahler"); common(sp)
     sp.add_argument("--family")
     sp.add_argument("--count", type=int, default=40)

@@ -163,11 +163,137 @@ def test_distance_symmetry_and_triangle_random():
         count += 1
 
 
+# -- brute-force oracles for the vectorized kernel ------------------------------------
+
+def _product_points(basis, radius, k):
+    """Lattice points of norm <= radius, one coefficient vector at a time."""
+    b = np.array(basis, dtype=float)
+    pts = [np.array(z, dtype=float) @ b
+           for z in itertools.product(range(-k, k + 1), repeat=b.shape[0])]
+    return np.array([p for p in pts if p @ p <= radius * radius + 1e-12]).reshape(-1, b.shape[1])
+
+
+def _oracle_points(basis, radius):
+    smin = np.linalg.svd(np.array(basis, dtype=float), compute_uv=False).min()
+    return _product_points(basis, radius, int(radius / smin) + 3)
+
+
+def _directed(xs, ys):
+    """sup over x in xs of the distance to the nearest y, from the full
+    pairwise distance matrix."""
+    return float(np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2).min(axis=1).max())
+
+
+def _hausdorff(xs, ys):
+    return max(_directed(xs, ys), _directed(ys, xs))
+
+
+def test_lattice_points_match_the_product_enumeration_row_for_row():
+    rng = np.random.default_rng(31)
+    for m in (1, 2, 3, 4):
+        done = 0
+        while done < 4:
+            basis = rng.normal(size=(m, m))
+            smin = np.linalg.svd(basis, compute_uv=False).min()
+            if smin < 0.3:
+                continue
+            radius = float(rng.uniform(1.0, 2.5))
+            k = int(math.floor(radius / smin)) + 1
+            got = ch.lattice_points_in_ball(basis, radius)
+            assert got.shape[1] == m
+            assert np.array_equal(got, _product_points(basis, radius, k))
+            done += 1
+
+
+def test_lattice_points_cap_is_the_coefficient_box():
+    basis = [[0.1, 0.0], [0.0, 0.1]]
+    box = (2 * 11 + 1) ** 2                   # k = floor(1 / 0.1) + 1 = 11
+    assert len(ch.lattice_points_in_ball(basis, 1.0, cap=box)) == 317
+    with pytest.raises(PreconditionError, match="enumeration box too large"):
+        ch.lattice_points_in_ball(basis, 1.0, cap=box - 1)
+    with pytest.raises(PreconditionError, match="enumeration box too large"):
+        ch.lattice_points_in_ball([[1e-3]], 1e4)
+
+
+def test_distance_one_dimensional_grids_match_brute_force():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        a, b = (int(x) for x in rng.integers(1, 30, size=2))
+        radius = float(rng.choice([0.3, 1.0, 2.0, 4.0]))
+        h1, h2 = ch.ClosedSubgroupRn.lattice([[1.0 / a]]), ch.ClosedSubgroupRn.lattice([[1.0 / b]])
+        want = _hausdorff(_oracle_points([[1.0 / a]], radius), _oracle_points([[1.0 / b]], radius))
+        assert abs(ch.chabauty_distance(h1, h2, radius) - want) < 1e-12
+
+
+def test_distance_one_dimensional_grid_to_the_line_matches_brute_force():
+    line = ch.ClosedSubgroupRn.full(1)
+    rng = np.random.default_rng(33)
+    for _ in range(25):
+        a = int(rng.integers(1, 12))
+        radius = float(rng.uniform(0.2, 3.0))
+        pts = _oracle_points([[1.0 / a]], radius)
+        # The line's truncation on a grid of step 1/(8a) that holds every
+        # midpoint between grid points, plus its two ends.
+        j = np.arange(-int(8 * a * radius), int(8 * a * radius) + 1)
+        interval = np.concatenate([j / (8.0 * a), [-radius, radius]])[:, None]
+        want = _hausdorff(pts, interval)
+        h = ch.ClosedSubgroupRn.lattice([[1.0 / a]])
+        assert abs(ch.chabauty_distance(h, line, radius) - want) < 1e-9
+
+
+def test_distance_two_dimensional_lattices_match_brute_force():
+    rng = np.random.default_rng(34)
+    # Covolume 0.01 at radius 2 gives over a thousand points: several blocks.
+    for covol in (1.0, 0.3, 0.01):
+        for _ in range(3):
+            b1 = rng.normal(size=(2, 2))
+            b1 *= math.sqrt(covol / abs(np.linalg.det(b1)))
+            b2 = b1 + rng.normal(scale=0.02 * math.sqrt(covol), size=(2, 2))
+            smin = min(np.linalg.svd(b, compute_uv=False).min() for b in (b1, b2))
+            if smin < 0.1 * math.sqrt(covol):
+                continue
+            want = _hausdorff(_oracle_points(b1, 2.0), _oracle_points(b2, 2.0))
+            got = ch.chabauty_distance(ch.ClosedSubgroupRn.lattice(b1),
+                                       ch.ClosedSubgroupRn.lattice(b2), 2.0)
+            assert abs(got - want) < 1e-12
+
+
+def _chords(u, step, radius):
+    """Segments (center, half-length) of the lines k step u-perp + R u inside the ball."""
+    w = np.array([-u[1], u[0]])
+    return [(k * step * w, math.sqrt(radius * radius - (k * step) ** 2))
+            for k in range(-int(radius / step), int(radius / step) + 1)]
+
+
+def test_distance_line_family_to_lattice_within_the_sampling_bound():
+    rng = np.random.default_rng(35)
+    radius = 2.0
+    for _ in range(10):
+        phi = float(rng.uniform(0.0, math.pi))
+        u = np.array([math.cos(phi), math.sin(phi)])
+        step = float(rng.uniform(0.4, 0.5))
+        basis = rng.normal(size=(2, 2))
+        basis *= math.sqrt(0.15 / abs(np.linalg.det(basis)))
+        chords = _chords(u, step, radius)
+        samples = np.array([c + t * half * u for c, half in chords
+                            for t in np.linspace(-1.0, 1.0, 801)])
+        pts = _oracle_points(basis, radius)
+        back = max(min(float(np.linalg.norm(p - c - np.clip((p - c) @ u, -half, half) * u))
+                       for c, half in chords) for p in pts)
+        want = max(_directed(samples, pts), back)
+        hmax = max(half for _, half in chords)
+        h1 = ch.ClosedSubgroupRn.from_parts(2, [u], [step * np.array([-u[1], u[0]])])
+        got = ch.chabauty_distance(h1, ch.ClosedSubgroupRn.lattice(basis), radius)
+        # 41 samples per chord may miss hmax / 40 of the supremum, the
+        # oracle's 801 may miss hmax / 800.
+        assert want - hmax / 40.0 - 1e-9 <= got <= want + hmax / 800.0 + 1e-9
+
+
 # -- limits ------------------------------------------------------------------------
 
 def test_limit_refining_grids_to_the_line():
     seq = [ch.ClosedSubgroupRn.lattice([[1.0 / n]]) for n in range(1, 61)]
-    res = ch.chabauty_limit(seq, [1.0, 2.0], tol=1e-2, merge_tol=0.05)
+    res = ch.chabauty_limit(seq, [1.0, 2.0], tol=1e-2)
     assert res.converged
     assert res.limit.v_dim == 1
     assert res.limit.lattice_rank == 0

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -99,3 +100,9 @@ def test_bad_config_entry_is_a_precondition_violation(entry, tmp_path, capsys):
     config.write_text(entry + "\n")
     assert cli.main(["--config", str(config), "presentation"]) == 2
     assert capsys.readouterr().err.startswith("precondition violated:")
+
+
+def test_default_chabauty_limit_of_one_over_n_is_the_line(capsys):
+    result = json.loads(report(["chabauty"], capsys))["result"]
+    assert result["converged"] is True
+    assert (result["limit_v_dim"], result["limit_lattice_rank"]) == (1, 0)
