@@ -9,8 +9,9 @@ A float within rounding error of a half-cell boundary may round either way,
 so a missed lookup also probes the adjacent cell (margin `mat2.STRADDLE`,
 scaled by the entry's magnitude).
 
-Cap rule: every distinct element keyed, kept or pruned, counts towards the
-cap; past it CapExceededError carries the entries kept so far.
+Cap rule: every element the BFS keys, kept or pruned, counts towards the
+cap; past it CapExceededError carries the entries kept so far.  A candidate
+dropped by a reach (below) is never keyed, so it does not count.
 
 `_bfs` takes each layer's frontier `CHUNK` elements at a time.  A kernel
 turns a chunk into its candidates, the products by every step in (frontier,
@@ -19,6 +20,10 @@ Real float Moebius groups use a numpy kernel (products, determinant
 normalization, sign choice and keys as arrays, bit for bit what the scalar
 path computes); every other group uses the scalar kernel, one product object
 per candidate, which keeps exact, complex, Euclidean and Lorentz arithmetic.
+Under a reach (an H^2 point and a radius), both kernels drop every product
+that displaces the point beyond the radius before keying it, computing the
+displacements as one array from the same float entries (`_within`), so they
+drop the same candidates.
 """
 
 from dataclasses import dataclass
@@ -161,27 +166,42 @@ def _pack(k):
     return k
 
 
-def _scalar_kernel(steps, product, entries):
+def _within(m, reach):
+    """Indices of the rows of m, the float entries (a, b, c, d) of real
+    Moebius elements, that displace the H^2 point of reach = (point, radius)
+    by at most radius.  The margin of 1e-9, relative and absolute, is far
+    above the float error between this array displacement and
+    `hyperbolic.displacement`, so a row it drops is beyond the radius."""
+    point, radius = reach
+    with np.errstate(all="ignore"):
+        d = distances_h2(point.z, moebius_apply_h2(m.T, point.z))
+    return np.flatnonzero(d <= radius * (1.0 + 1e-9) + 1e-9)
+
+
+def _scalar_kernel(steps, product, entries, reach):
     """Kernel building one product object per candidate.  A chunk's products
     are all made before any is keyed, so a product that raises stops the
     enumeration even where the cap would have stopped it a few candidates
     earlier."""
     def candidates(chunk):
         made = [product(e, s) for _, e in chunk for _, s in steps]
+        if reach is not None:
+            m = np.array([w.m for w in made], dtype=float).reshape(-1, 4)
+            made = [made[i] for i in _within(m, reach).tolist()]
         xs = [entries(w) for w in made]
         keys = [mat2.quantize(x) for x in xs]
         return keys, made.__getitem__, lambda i, k: _straddle_keys(xs[i], k)
     return (lambda x: mat2.quantize(entries(x))), candidates
 
 
-def _moebius_kernel(steps):
+def _moebius_kernel(steps, reach):
     """Kernel for real float Moebius steps: the chunk's products, their
     determinant normalization and sign choice (in the float operations of
-    MoebiusIsometry.__init__), keys and straddle alternates as arrays.  Keys
-    are packed (`_pack`).  A chunk with a candidate the scalar path would
-    reject, or with a cell beyond int64, goes to the scalar kernel, which
-    raises or keys it."""
-    _, scalar = _scalar_kernel(steps, operator.mul, _KEY_ENTRIES)
+    MoebiusIsometry.__init__), reach filter, keys and straddle alternates as
+    arrays.  Keys are packed (`_pack`).  A chunk with a candidate the scalar
+    path would reject, or with a cell beyond int64, goes to the scalar
+    kernel, which raises or keys it."""
+    _, scalar = _scalar_kernel(steps, operator.mul, _KEY_ENTRIES, reach)
     e, f, g, h = np.array([s.m for _, s in steps], dtype=float).reshape(-1, 4).T
 
     def fallback(chunk):
@@ -204,6 +224,9 @@ def _moebius_kernel(steps):
         lead = big > 1e-7
         first = m[np.arange(len(m)), lead.argmax(axis=1)]
         m = np.where((lead.any(axis=1) & ~(first > 0))[:, None], -m, m)
+        if reach is not None:
+            within = _within(m, reach)
+            m, big = m[within], big[within]
         x = m / mat2.GRID
         q = np.rint(x)
         off = x - q
@@ -234,21 +257,22 @@ def _moebius_kernel(steps):
     return (lambda x: _pack(mat2.quantize(x.m))), candidates
 
 
-def _kernel(start, steps, product, entries):
+def _kernel(start, steps, product, entries, reach):
     """(key, candidates): the numpy kernel when start and steps are real
     float Moebius isometries under the default product and entries, else the
     scalar one.  key(x) keys one element; candidates(chunk) gives the keys
-    of the chunk's products in (frontier, step) order, the i-th product as
-    an element, and the alternates of the i-th key for the straddle probe."""
+    of the chunk's products in (frontier, step) order, less those a reach
+    drops (`_within`), the i-th of them as an element, and the alternates of
+    the i-th key for the straddle probe."""
     if product is operator.mul and entries is _KEY_ENTRIES and all(
             type(x) is hyperbolic.MoebiusIsometry and not x.exact and not x.is_complex
             for x in [start] + [s for _, s in steps]):
-        return _moebius_kernel(steps)
-    return _scalar_kernel(steps, product, entries)
+        return _moebius_kernel(steps, reach)
+    return _scalar_kernel(steps, product, entries, reach)
 
 
 def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=None,
-         test=None, label="enumeration", words=False):
+         test=None, label="enumeration", words=False, reach=None):
     """Kept (word, element) pairs in BFS order from `start` (empty word) by
     right multiplication product(e, s) over `steps`, a list of (label, s).
 
@@ -256,13 +280,20 @@ def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=N
     (expand, keep)` runs once per newly keyed element (default: both); an
     element not expanded is not kept.  Words stay empty unless `words`.
 
+    `reach` = (an H^2 point, a radius), for real Moebius steps, drops every
+    product that displaces the point beyond the radius before it is keyed,
+    so it is neither tested nor counted towards `cap`; `test` must expand no
+    such element.  Words are not tracked under a reach.
+
     Each layer's frontier goes through the kernel (`_kernel`) CHUNK elements
     at a time, so the kernel's arrays stay the same size however wide a layer
     grows; one loop then walks the candidates in (frontier, step) order, so
     the straddle probe and the cap see them as an element-by-element BFS
     would, whichever kernel made them.
     """
-    key, candidates = _kernel(start, steps, product, entries)
+    if reach is not None and words:
+        raise PreconditionError("words are not tracked under a reach")
+    key, candidates = _kernel(start, steps, product, entries, reach)
     seen = {key(start)}
     kept = [((), start)]
     frontier = kept[:]
@@ -379,18 +410,24 @@ def displacement_pruned_ball(group, base, keep, slack=None, cap=200000):
     default slack is twice the generator displacement, enough for cell
     adjacency paths in cocompact tilings.  Completeness at a given slack is a
     heuristic: callers should check stability under a larger slack (tested).
-    The displacement is computed once per newly keyed element, and every
-    keyed element, pruned or not, counts towards `cap`.
+
+    For a real group at an H^2 base, the BFS drops candidates beyond
+    keep + slack before keying them (a reach, see `_bfs`), and the scalar
+    displacement decides for each newly keyed element.  So `cap` counts the
+    identity and the elements within keep + slack (up to a float margin),
+    not the candidates pruned beyond it.
     """
     sym = group.symmetric_generators()
     if slack is None:
         gen_disp = max(hyperbolic.displacement(g, base) for _, g in sym)
         slack = 2.0 * gen_disp
     explore = keep + slack
+    real_h2 = base.dim == 2 and not any(g.is_complex for _, g in sym)
 
     def test(w):
         d = hyperbolic.displacement(w, base)
         return d <= explore, d <= keep
 
-    entries = _bfs(group.identity(), sym, test=test, cap=cap, label="pruned orbit ball")
+    entries = _bfs(group.identity(), sym, test=test, cap=cap, label="pruned orbit ball",
+                   reach=(base, explore) if real_h2 else None)
     return [e for _, e in entries]

@@ -106,3 +106,9 @@ def test_default_chabauty_limit_of_one_over_n_is_the_line(capsys):
     result = json.loads(report(["chabauty"], capsys))["result"]
     assert result["converged"] is True
     assert (result["limit_v_dim"], result["limit_lattice_rank"]) == (1, 0)
+
+
+def test_default_octagon_presentation_runs_to_completion(capsys):
+    result = json.loads(report(["presentation", "--preset", "octagon-genus2"], capsys))["result"]
+    assert (result["abelianization_rank"], result["torsion"]) == (4, [])
+    assert (result["net_size"], result["generators"], result["relators"]) == (30, 106, 143)

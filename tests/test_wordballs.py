@@ -136,13 +136,13 @@ def test_mixed_real_and_complex_generators_keep_one_copy_of_each_element():
 
 def use_scalar_kernel(monkeypatch):
     """From here on, every enumeration runs through the scalar kernel."""
-    monkeypatch.setattr(wordballs, "_kernel", lambda start, steps, product, entries:
-                        wordballs._scalar_kernel(steps, product, entries))
+    monkeypatch.setattr(wordballs, "_kernel", lambda start, steps, product, entries, reach:
+                        wordballs._scalar_kernel(steps, product, entries, reach))
 
 
 def kernel_of(group):
     return wordballs._kernel(group.identity(), group.symmetric_generators(), operator.mul,
-                             wordballs._KEY_ENTRIES)
+                             wordballs._KEY_ENTRIES, None)
 
 
 def takes_numpy_kernel(group):
@@ -219,6 +219,91 @@ def test_numpy_kernel_trips_the_cap_where_the_scalar_kernel_does(monkeypatch):
         want_message, want_entries = cap_error(run)
         assert message == want_message
         assert_same_entries(entries, want_entries)
+
+
+# -- the reach filter of the pruned orbit ball ------------------------------------
+
+def without_reach(monkeypatch):
+    """From here on, `_bfs` ignores any reach: every candidate is keyed."""
+    bfs = wordballs._bfs
+    monkeypatch.setattr(wordballs, "_bfs", lambda *args, reach=None, **kw: bfs(*args, **kw))
+
+
+def reach_cases():
+    """(base, keep, slack) of the surface presentation in the benchmark, of
+    the CLI's default octagon presentation (slack None: the default), and of
+    three seeded bases with keep and slack in [4, 5]."""
+    center, rho = presets.octagon_center(), presets.octagon_circumradius()
+    keep = 2.0 * rho + 1.1 + 0.1    # as `nerve.SurfaceMetric` sums it
+    cases = [(center, keep, 5.0), (center, keep, None)]
+    rng = np.random.default_rng(1402)
+    for _ in range(3):
+        base = HPoint(rng.uniform(-0.2, 0.2), math.exp(rng.uniform(-0.2, 0.2)))
+        cases.append((base, rng.uniform(4.0, 5.0), rng.uniform(4.0, 5.0)))
+    return cases
+
+
+def test_reach_filter_keeps_the_pruned_ball_on_both_kernels(monkeypatch):
+    octagon = presets.octagon_genus2()
+
+    def balls():
+        return [[((), e) for e in displacement_pruned_ball(octagon, b, k, slack=s, cap=10**6)]
+                for b, k, s in reach_cases()]
+
+    want = balls()
+    assert len(want[1]) == 97
+    with monkeypatch.context() as patch:
+        use_scalar_kernel(patch)
+        for got, ball in zip(balls(), want):
+            assert_same_entries(got, ball)
+    without_reach(monkeypatch)
+    # Without a reach the first two cases key 10^5 and 3 * 10^5 elements,
+    # about 12 s on the scalar kernel, which runs them only with a reach.
+    for got, ball in zip(balls(), want):
+        assert_same_entries(got, ball)
+    use_scalar_kernel(monkeypatch)
+    for (b, k, s), ball in list(zip(reach_cases(), want))[2:]:
+        assert_same_entries([((), e) for e in displacement_pruned_ball(
+            octagon, b, k, slack=s, cap=10**6)], ball)
+
+
+def test_both_kernels_cap_the_pruned_ball_at_the_elements_within_reach(monkeypatch):
+    octagon = presets.octagon_genus2()
+    base, keep, slack = reach_cases()[2]
+    calls = []
+
+    def counted(w, p):
+        calls.append(displacement(w, p))
+        return calls[-1]
+
+    monkeypatch.setattr(wordballs.hyperbolic, "displacement", counted)
+
+    def run(cap):
+        return [((), e) for e in displacement_pruned_ball(octagon, base, keep, slack=slack,
+                                                          cap=cap)]
+
+    want = run(10**6)
+    # The identity is keyed as the start, without a displacement call.
+    n = len(calls) + 1
+    assert 0 < len(want) < n
+    expanded = sum(d <= keep + slack for d in calls)
+
+    def capped():
+        calls.clear()
+        assert_same_entries(run(n), want)
+        assert len(calls) == n - 1
+        return cap_error(lambda: run(n - 1))
+
+    message, entries = capped()
+    use_scalar_kernel(monkeypatch)
+    want_message, want_entries = capped()
+    assert message == want_message == "pruned orbit ball exceeded %d elements" % (n - 1)
+    assert_same_entries(entries, want_entries)
+    # The reach drops no element that the BFS would expand.
+    without_reach(monkeypatch)
+    calls.clear()
+    assert_same_entries(run(10**6), want)
+    assert len(calls) > n and sum(d <= keep + slack for d in calls) == expanded
 
 
 def test_keys_beyond_int64_take_the_scalar_kernel(monkeypatch):
