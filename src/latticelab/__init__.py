@@ -3,7 +3,7 @@
 Modules:
     hyperbolic   -- half-plane/half-space models, isometry trichotomy
     hyperboloid  -- H^n for general n, Lorentz matrices
-    euclidean    -- min-set decomposition, crystallographic structure
+    euclidean    -- Euclidean isometries, crystallographic structure
     smallness    -- commutator contraction, Jordan bound, short subgroups
     wordballs    -- finitely generated groups and their word balls
     lattice_lab  -- injectivity radius, thick-thin, Morse function, covolumes

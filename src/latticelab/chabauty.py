@@ -50,14 +50,14 @@ def lagrange_reduce(basis):
         u, v = v, u
 
 
-def greedy_reduce(basis, rounds=64):
+def greedy_reduce(basis):
     """Norm-greedy reduction for rank <= 4: subtract rounded projections
     until stable, then sort by norm."""
     b = np.array(basis, dtype=float)
     m = b.shape[0]
     if m == 2:
         return lagrange_reduce(b)
-    for _ in range(rounds):
+    for _ in range(64):
         changed = False
         order = np.argsort(np.linalg.norm(b, axis=1))
         b = b[order]
@@ -177,10 +177,6 @@ class ClosedSubgroupRn:
     def lattice(cls, basis):
         basis = np.atleast_2d(np.array(basis, dtype=float))
         return cls.from_parts(basis.shape[1], None, basis)
-
-    @classmethod
-    def trivial(cls, n):
-        return cls.from_parts(n)
 
     @classmethod
     def full(cls, n):
@@ -407,7 +403,7 @@ class MahlerResult:
     limit_shortest: float
 
 
-def mahler_subsequence(bases, max_covolume, min_shortest, tol=1e-6):
+def mahler_subsequence(bases, max_covolume, min_shortest):
     """Extract a convergent subsequence from full-rank lattices with
     covolume <= v and shortest vector >= r.
 
@@ -442,7 +438,7 @@ def mahler_subsequence(bases, max_covolume, min_shortest, tol=1e-6):
             raise PreconditionError("reduced basis %d escaped the compactness box" % i)
     indices = list(range(len(reduced)))
     grid = bound
-    while grid > tol / 4.0 and len(indices) > 1:
+    while grid > 1e-6 / 4.0 and len(indices) > 1:
         buckets = {}
         for i in indices:
             key = tuple(np.round(reduced[i] / grid).astype(np.int64).ravel().tolist())

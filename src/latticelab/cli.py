@@ -186,8 +186,8 @@ def cmd_presentation(args, config):
     name = args.preset or "torus"
     # Cover balls a hair above the net parameter: maximality holds only on
     # the sample stream, so radius-eps balls can leave slivers uncovered.
-    eps = args.epsilon or (0.2 if name == "torus" else 0.5)
-    radius = args.radius or round(1.1 * eps, 6)
+    eps = args.epsilon if args.epsilon is not None else (0.2 if name == "torus" else 0.5)
+    radius = args.radius if args.radius is not None else round(1.1 * eps, 6)
     config["epsilon"], config["radius"] = eps, radius
     if name == "torus":
         if radius > 0.25:

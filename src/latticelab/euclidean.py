@@ -1,10 +1,5 @@
-"""Isometries of R^n: min-set decomposition, fixed points, commuting families,
-and crystallographic structure detection by word-ball closure.
-
-The min-set of x -> Ox + t is computed algebraically: its directions are the
-eigenspace of O for eigenvalue 1, and a base point solves (O - I)x = -t
-restricted to the orthogonal complement, where O - I is invertible.
-"""
+"""Isometries of R^n and crystallographic structure detection by word-ball
+closure."""
 
 from dataclasses import dataclass, field
 import math
@@ -23,12 +18,12 @@ class EuclideanIsometry(mat2.Keyed):
 
     __slots__ = ("o", "t", "n")
 
-    def __init__(self, o, t, tol=1e-9):
+    def __init__(self, o, t):
         o = np.asarray(o, dtype=float)
         t = np.asarray(t, dtype=float).ravel()
         if o.shape[0] != o.shape[1] or o.shape[0] != t.shape[0]:
             raise ValueError("shape mismatch between orthogonal part and translation")
-        if np.linalg.norm(o.T @ o - np.eye(o.shape[0])) > tol:
+        if np.linalg.norm(o.T @ o - np.eye(o.shape[0])) > 1e-9:
             raise ValueError("matrix is not orthogonal within tolerance")
         self.o, self.t, self.n = o, t, o.shape[0]
 
@@ -38,13 +33,9 @@ class EuclideanIsometry(mat2.Keyed):
         return cls(np.eye(t.shape[0]), t)
 
     @classmethod
-    def rotation2(cls, theta, center=None):
+    def rotation2(cls, theta):
         c, s = math.cos(theta), math.sin(theta)
-        o = np.array([[c, -s], [s, c]])
-        if center is None:
-            return cls(o, np.zeros(2))
-        center = np.asarray(center, dtype=float)
-        return cls(o, center - o @ center)
+        return cls(np.array([[c, -s], [s, c]]), np.zeros(2))
 
     def apply(self, x):
         return self.o @ np.asarray(x, dtype=float) + self.t
@@ -55,127 +46,18 @@ class EuclideanIsometry(mat2.Keyed):
     def inverse(self):
         return EuclideanIsometry(self.o.T, -self.o.T @ self.t)
 
-    def is_identity(self, tol=EQ_TOL):
-        return (np.linalg.norm(self.o - np.eye(self.n)) <= tol
-                and np.linalg.norm(self.t) <= tol)
+    def is_identity(self):
+        return (np.linalg.norm(self.o - np.eye(self.n)) <= EQ_TOL
+                and np.linalg.norm(self.t) <= EQ_TOL)
 
     def key_entries(self):
         return tuple(self.o.ravel().tolist() + self.t.tolist())
-
-    def commutes_with(self, other, tol=EQ_TOL):
-        ab, ba = self * other, other * self
-        return (np.abs(ab.o - ba.o).max() <= tol and np.abs(ab.t - ba.t).max() <= tol)
 
     def displacement(self, x):
         return float(np.linalg.norm(self.apply(x) - np.asarray(x, dtype=float)))
 
     def __repr__(self):
         return "EuclideanIsometry(o=%r, t=%r)" % (self.o.tolist(), self.t.tolist())
-
-
-@dataclass
-class AffineSubspace:
-    point: np.ndarray
-    basis: np.ndarray  # rows orthonormal, shape (k, n); k = 0 means a single point
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    def project(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.point
-        if self.dim == 0:
-            return self.point.copy()
-        return self.point + self.basis.T @ (self.basis @ d)
-
-    def contains(self, x, tol=1e-8):
-        return np.linalg.norm(self.project(x) - np.asarray(x, dtype=float)) <= tol
-
-
-def _fixed_directions(o, tol=1e-9):
-    """Orthonormal basis (rows) of ker(O - I)."""
-    n = o.shape[0]
-    u, s, vt = np.linalg.svd(o - np.eye(n))
-    null_mask = s <= max(tol, s.max() * 1e-12) if s.size else np.array([], dtype=bool)
-    basis = vt[null_mask] if null_mask.any() else np.zeros((0, n))
-    return basis
-
-
-def min_set(g):
-    """(affine subspace on which g is a translation, that translation).
-
-    The displacement is constant and minimal on the subspace; everywhere else
-    it is strictly larger.
-    """
-    w = _fixed_directions(g.o)
-    k, n = w.shape
-    p_w = w.T @ w if k else np.zeros((n, n))
-    t_par = p_w @ g.t
-    t_perp = g.t - t_par
-    if k == n:
-        base = np.zeros(n)
-    else:
-        base, *_ = np.linalg.lstsq(g.o - np.eye(n), -t_perp, rcond=None)
-    return AffineSubspace(point=base, basis=w), t_par
-
-
-@dataclass
-class FixedPointResult:
-    exists: bool
-    witness: np.ndarray = None
-    residual: float = 0.0
-    conditioning_warning: bool = False
-
-
-def has_fixed_point(g, tol=1e-8):
-    """Solvability of (O - I)x = -t, with witness and residual diagnostics."""
-    n = g.n
-    a = g.o - np.eye(n)
-    x, *_ = np.linalg.lstsq(a, -g.t, rcond=None)
-    residual = float(np.linalg.norm(a @ x + g.t))
-    s = np.linalg.svd(a, compute_uv=False)
-    nonzero = s[s > tol]
-    warn = bool(nonzero.size and nonzero.min() < 1e-6 and nonzero.min() > tol)
-    if residual <= tol:
-        return FixedPointResult(True, witness=x, residual=residual, conditioning_warning=warn)
-    return FixedPointResult(False, witness=None, residual=residual, conditioning_warning=warn)
-
-
-def commuting_min_intersection(gs, tol=EQ_TOL):
-    """Common invariant affine subspace inside every min-set of a commuting,
-    non-elliptic family.  Always nonempty with positive dimension."""
-    if not gs:
-        raise PreconditionError("empty family")
-    n = gs[0].n
-    for i, g in enumerate(gs):
-        for h in gs[i + 1:]:
-            if not g.commutes_with(h, tol):
-                raise PreconditionError("inputs do not commute within tolerance")
-    pieces = []
-    for g in gs:
-        sub, tv = min_set(g)
-        if np.linalg.norm(tv) <= tol:
-            raise PreconditionError(
-                "elliptic input (fixed point, zero translation on min-set) not allowed")
-        pieces.append(sub)
-    # Solve the stacked system P_i^perp (x - p_i) = 0.
-    rows, rhs = [], []
-    for sub in pieces:
-        p_perp = np.eye(n) - (sub.basis.T @ sub.basis if sub.dim else np.zeros((n, n)))
-        rows.append(p_perp)
-        rhs.append(p_perp @ sub.point)
-    a = np.vstack(rows)
-    b = np.concatenate(rhs)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if np.linalg.norm(a @ x - b) > 1e-6:
-        raise PreconditionError("min-sets fail to intersect; inputs are inconsistent")
-    # Direction space: intersection of the direction spaces.
-    _, s, vt = np.linalg.svd(a)
-    sv = np.zeros(n)
-    sv[:s.size] = s
-    basis = vt[sv <= 1e-9]
-    return AffineSubspace(point=x, basis=basis)
 
 
 @dataclass
@@ -190,11 +72,12 @@ class CrystallographicReport:
     cap_exceeded: bool = False
 
 
-def _element_order(o, cap=64, tol=1e-8):
+def _element_order(o):
+    """The order of the orthogonal matrix o when it is at most 64, else None."""
     acc = o.copy()
     n = o.shape[0]
-    for k in range(1, cap + 1):
-        if np.abs(acc - np.eye(n)).max() <= tol:
+    for k in range(1, 65):
+        if np.abs(acc - np.eye(n)).max() <= 1e-8:
             return k
         acc = acc @ o
     return None

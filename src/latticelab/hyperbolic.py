@@ -111,7 +111,7 @@ class MoebiusIsometry(mat2.Keyed):
         if not exact:
             m = tuple(complex(x) if isinstance(x, complex) else float(x) for x in m)
         m = mat2.normalize_det1(m, exact)
-        if not exact and abs(mat2.det(m) - 1) > 1e-9:
+        if not exact and abs(mat2.det(m) - 1) > mat2.DET_DRIFT:
             raise ValueError("normalization failed, |det - 1| = %g" % abs(mat2.det(m) - 1))
         self.m = mat2.canonicalize_sign(m, exact)
 
@@ -324,11 +324,6 @@ def _finish_classification(g, kind):
     return IsometryClass(kind=HYPERBOLIC, translation_length=length, axis=axis)
 
 
-def translation_length(g):
-    """inf over the model of the displacement function (0 when not attained)."""
-    return classify(g).translation_length
-
-
 def same_boundary_point(p, q, tol=1e-7):
     if p == INFINITY or q == INFINITY:
         if p == q:
@@ -338,55 +333,10 @@ def same_boundary_point(p, q, tol=1e-7):
     return abs(p - q) <= tol
 
 
-def same_axis(axis1, axis2, tol=1e-7):
+def same_axis(axis1, axis2):
     p1, q1 = axis1
     p2, q2 = axis2
     return (
-        (same_boundary_point(p1, p2, tol) and same_boundary_point(q1, q2, tol))
-        or (same_boundary_point(p1, q2, tol) and same_boundary_point(q1, p2, tol))
+        (same_boundary_point(p1, p2) and same_boundary_point(q1, q2))
+        or (same_boundary_point(p1, q2) and same_boundary_point(q1, p2))
     )
-
-
-def geodesic_point(p, q, s):
-    """Point at parameter s in [0, 1] along the geodesic from p to q.
-
-    Constructed by arclength interpolation: s = 0 gives p, s = 1 gives q.
-    Works in H^2 and H^3 through the chain of midpoint subdivisions of the
-    model geodesic (vertical line or semicircle orthogonal to the boundary).
-    """
-    if p.dim != q.dim:
-        raise DimensionMismatchError("mixed dimensions")
-    d = distance(p, q)
-    if d == 0:
-        return p
-    # Reduce to the vertical-line geodesic by an explicit isometry in H^2;
-    # in H^3 interpolate in the plane containing both points.
-    if p.dim == 2:
-        zp, zq = p.z, q.z
-        if abs(zp.real - zq.real) < 1e-14:
-            y = zp.imag * (zq.imag / zp.imag) ** s
-            return HPoint(zp.real, y)
-        # Semicircle through zp, zq centered on the real axis.
-        cx = (abs(zq) ** 2 - abs(zp) ** 2) / (2 * (zq.real - zp.real))
-        r = abs(zp - cx)
-        # Angles from the positive real direction.
-        a1 = math.atan2(zp.imag, zp.real - cx)
-        a2 = math.atan2(zq.imag, zq.real - cx)
-        # Arclength parameter along the circle: t -> ln tan(theta/2) is the
-        # hyperbolic arclength, interpolate there.
-        u1 = math.log(math.tan(a1 / 2))
-        u2 = math.log(math.tan(a2 / 2))
-        u = (1 - s) * u1 + s * u2
-        theta = 2 * math.atan(math.exp(u))
-        return HPoint(cx + r * math.cos(theta), r * math.sin(theta))
-    # H^3: work inside the vertical plane spanned by the two points.
-    dz = q.z - p.z
-    if abs(dz) < 1e-14:
-        t = p.t * (q.t / p.t) ** s
-        return HPoint(p.z.real, p.z.imag, t)
-    u = dz / abs(dz)
-    p2 = HPoint(0.0, p.t)
-    q2 = HPoint(abs(dz), q.t)
-    m2 = geodesic_point(p2, q2, s)
-    zz = p.z + u * m2.z.real
-    return HPoint(zz.real, zz.imag, m2.z.imag)

@@ -32,13 +32,6 @@ def basepoint(n):
     return e0
 
 
-def validate_point(x):
-    x = np.asarray(x, dtype=float)
-    if abs(q_inner(x, x) + 1.0) > 1e-8 or x[0] <= 0:
-        raise InvalidPointError("not on the upper hyperboloid sheet: %r" % (x,))
-    return x
-
-
 def normalize_point(x):
     """Rescale a timelike vector onto the upper sheet."""
     x = np.asarray(x, dtype=float)
@@ -93,27 +86,6 @@ class LorentzIsometry(mat2.Keyed):
         return "LorentzIsometry(n=%d)" % self.n
 
 
-def boost(length, n, axis=1):
-    """Hyperbolic translation of the given length along a coordinate axis."""
-    a = np.eye(n + 1)
-    c, s = math.cosh(length), math.sinh(length)
-    a[0, 0] = c
-    a[0, axis] = s
-    a[axis, 0] = s
-    a[axis, axis] = c
-    return LorentzIsometry(a)
-
-
-def rotation(theta, n, plane=(1, 2)):
-    """Elliptic rotation in a spacelike coordinate plane, fixing the basepoint."""
-    i, j = plane
-    a = np.eye(n + 1)
-    a[i, i] = a[j, j] = math.cos(theta)
-    a[i, j] = -math.sin(theta)
-    a[j, i] = math.sin(theta)
-    return LorentzIsometry(a)
-
-
 _SYM_BASIS = (
     np.array([[1.0, 0.0], [0.0, 1.0]]),   # t: (p + r)/2
     np.array([[1.0, 0.0], [0.0, -1.0]]),  # a: (p - r)/2
@@ -141,19 +113,6 @@ def h2_point_to_hyperboloid(p):
     x, y = p.z.real, p.z.imag
     s = x * x + y * y
     return np.array([(s + 1) / (2 * y), (s - 1) / (2 * y), x / y])
-
-
-def hyperboloid_point_to_h2(v):
-    t, a, b = v
-    y = 1.0 / (t - a)
-    return hyperbolic.HPoint(b * y, y)
-
-
-def embed(L3, n):
-    """Embed an SO(2,1) element into SO(n,1) acting on the first coordinates."""
-    a = np.eye(n + 1)
-    a[:3, :3] = L3.a
-    return LorentzIsometry(a)
 
 
 @dataclass

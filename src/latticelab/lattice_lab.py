@@ -27,7 +27,6 @@ class BallGeometry:
     rule of the thick-thin decomposition and the Margulis lemma."""
 
     def __init__(self, group, radius):
-        self.group = group
         self.radius = radius
         ball = word_ball(group, radius)
         self.words = [w for w, _ in ball.nontrivial()]
@@ -165,6 +164,8 @@ def thick_thin_scan(group, epsilon, samples, radius):
     A sample whose witnesses straddle two different groups is reported
     unresolved ("increase the ball radius").
     """
+    if epsilon <= 0:
+        raise PreconditionError("epsilon must be positive, got %g" % epsilon)
     bg = BallGeometry(group, radius)
     if not bg.elements:
         raise PreconditionError("empty nontrivial ball")
@@ -225,74 +226,35 @@ def standard_bump(epsilon):
     return f
 
 
-def plateau_bump(epsilon):
-    """Adversarial control: constant 0.1 on (0, eps/2), so its sum has
-    vanishing gradient where it does not vanish.  Used to confirm the
-    gradient check is not vacuous."""
-    base = standard_bump(epsilon)
-    def f(t):
-        if t < epsilon / 2.0:
-            return 0.1
-        return min(base(t), 0.1)
-    return f
-
-
-@dataclass
-class PsiReport:
-    value: float
-    support_size: int
-    short_set_size: int
-    boundary_disagreements: int
-
-
-def psi_report(group, x, epsilon, radius, bump=None):
-    """Sum of f(d_gamma(x) - |gamma|) over nontrivial ball elements with
-    |gamma| <= epsilon, f the bump (default `standard_bump`).
+def _psi(bg, x, epsilon, bump):
+    """The displacement Morse function at x: the sum of f(d_gamma(x) -
+    |gamma|) over the ball's nontrivial elements with |gamma| <= epsilon, f
+    the bump (default `standard_bump`).
 
     Raises DomainError when x sits on the min-set of a semisimple element
     (where the summand's argument degenerates to 0, up to 1e-9); parabolic
     elements have empty min-sets and may contribute arbitrarily large
-    summands instead.  Elements whose membership by |gamma| <= epsilon
-    disagrees with the displacement test d_gamma(x) < epsilon at this x are
-    counted in `boundary_disagreements`.
+    summands instead.
     """
-    return _psi(BallGeometry(group, radius), x, epsilon, bump)
-
-
-def _psi(bg, x, epsilon, bump):
     f = bump or standard_bump(epsilon)
     lengths = bg.translation_lengths
     disp = bg.displacements(x)
-    short = lengths <= epsilon
-    value, support = 0.0, 0
-    for i in np.flatnonzero(short).tolist():
+    value = 0.0
+    for i in np.flatnonzero(lengths <= epsilon).tolist():
         t = float(disp[i] - lengths[i])
         if t <= 1e-9 and bg.classify(i).attained:
             raise DomainError(
                 "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
-        ft = f(t)
-        if ft != 0.0:
-            support += 1
-            value += ft
-    return PsiReport(value=value, support_size=support,
-                     short_set_size=int(np.count_nonzero(short)),
-                     boundary_disagreements=int(np.count_nonzero(short != (disp < epsilon))))
-
-
-def psi_value(group, x, epsilon, radius, bump=None):
-    return psi_report(group, x, epsilon, radius, bump=bump).value
+        value += f(t)
+    return value
 
 
 def _shift_point(x, delta):
     return HPoint(*(c + d for c, d in zip(x.coords, delta)))
 
 
-def psi_gradient(group, x, epsilon, radius, h, bump=None):
-    """Central-difference gradient of the displacement Morse function."""
-    return _psi_gradient(BallGeometry(group, radius), x, epsilon, h, bump)
-
-
 def _psi_gradient(bg, x, epsilon, h, bump):
+    """Central-difference gradient of the displacement Morse function."""
     if h <= 0:
         raise PreconditionError("finite-difference step must be positive")
     dim = len(x.coords)
@@ -300,9 +262,9 @@ def _psi_gradient(bg, x, epsilon, h, bump):
     for i in range(dim):
         delta = [0.0] * dim
         delta[i] = h
-        up = _psi(bg, _shift_point(x, delta), epsilon, bump).value
+        up = _psi(bg, _shift_point(x, delta), epsilon, bump)
         delta[i] = -h
-        dn = _psi(bg, _shift_point(x, delta), epsilon, bump).value
+        dn = _psi(bg, _shift_point(x, delta), epsilon, bump)
         grad[i] = (up - dn) / (2.0 * h)
     return grad
 
@@ -313,10 +275,6 @@ class GradientLemmaResult:
     borderline: int
     checked: int
 
-    @property
-    def ok(self):
-        return not self.violations
-
 
 def gradient_lemma_check(group, epsilon, samples, radius, h, bump=None):
     """Empty violation list iff at every sample the gradient vanishes exactly
@@ -324,11 +282,13 @@ def gradient_lemma_check(group, epsilon, samples, radius, h, bump=None):
     (psi > tol and |grad| > grad_tol), with tol = 1e-9 and grad_tol = 1e-6.
     Samples with psi in (tol, 2 tol] are borderline: excluded and counted.
     One word ball serves every psi evaluation."""
+    if epsilon <= 0:
+        raise PreconditionError("epsilon must be positive, got %g" % epsilon)
     tol, grad_tol = 1e-9, 1e-6
     bg = BallGeometry(group, radius)
     violations, borderline, checked = [], 0, 0
     for p in samples:
-        value = _psi(bg, p, epsilon, bump).value
+        value = _psi(bg, p, epsilon, bump)
         if tol < value <= 2.0 * tol:
             borderline += 1
             continue

@@ -26,6 +26,14 @@ GRID = 1e-6
 # either way under float error, so enumeration lookups probe both cells.
 STRADDLE = 1e-9
 
+# Float Moebius normalization, which the array kernel in `wordballs` repeats
+# bit for bit: entries of magnitude at most SIGN_TOL count as zero when the
+# sign is chosen, a determinant below SINGULAR is singular, and a normalized
+# element whose determinant is off one by more than DET_DRIFT is rejected.
+SIGN_TOL = 1e-7
+SINGULAR = 1e-9
+DET_DRIFT = 1e-9
+
 
 def mul(m, n):
     a, b, c, d = m
@@ -61,22 +69,22 @@ def _sign_key(x):
     return x
 
 
-def canonicalize_sign(m, exact, tol=1e-7):
+def canonicalize_sign(m, exact):
     """Flip the global sign so the first nonzero entry is positive.
 
     Resolves the +-m ambiguity of projectivized matrices.  For complex
     entries "positive" means positive real part (ties: positive imaginary
-    part).  `exact` says whether m's entries are exact; `tol` decides which
-    float entries count as zero.
+    part).  `exact` says whether m's entries are exact; float entries of
+    magnitude at most SIGN_TOL count as zero.
     """
-    tol = 0 if exact else tol
+    tol = 0 if exact else SIGN_TOL
     for x in m:
         if abs(x) > tol:
             return m if _sign_key(x) > 0 else tuple(-y for y in m)
     return m
 
 
-def normalize_det1(m, exact, tol=1e-9):
+def normalize_det1(m, exact):
     """Scale to determinant one.  Exact inputs must already have det +-1."""
     d = det(m)
     if exact:
@@ -85,7 +93,7 @@ def normalize_det1(m, exact, tol=1e-9):
         if d == -1:
             raise ValueError("determinant -1 is not a Moebius isometry of the upper half space")
         raise ValueError("exact entries must have determinant 1, got %s" % (d,))
-    if abs(d) < tol:
+    if abs(d) < SINGULAR:
         raise ValueError("matrix is singular")
     if isinstance(d, complex) or any(isinstance(x, complex) for x in m):
         s = complex(d) ** (-0.5)
@@ -238,11 +246,11 @@ def mat_identity(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def mat_is_identity(m, tol=1e-12):
+def mat_is_identity(m):
     if mat_is_exact(m):
         n = len(m)
         return all(m[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-    return np.abs(np.asarray(m) - np.eye(mat_dim(m))).max() <= tol
+    return np.abs(np.asarray(m) - np.eye(mat_dim(m))).max() <= 1e-12
 
 
 def frobenius_to_identity(m):

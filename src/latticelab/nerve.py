@@ -6,20 +6,18 @@ edges outside a spanning tree, and each triangle contributes one relator of
 length at most 3 (tree edges read as the empty letter).  Abelianization via
 integer normal form is the verification oracle downstream.
 
-Metric contexts make the same construction run on the Euclidean plane, the
-flat torus, the hyperbolic plane, and closed hyperbolic surfaces presented as
-quotients.  Both quotient metrics measure distance and minimax radius through
-nearest lifts (on the torus y + round(x - y), on a surface the nearest of a
-precomputed set of deck translates).  H^2 triangles are solved in the
-hyperboloid model with the helpers of `hyperboloid`.
+Metric contexts make the same construction run on the flat torus and on
+closed hyperbolic surfaces presented as quotients.  Both measure distance and
+minimax radius through nearest lifts (on the torus y + round(x - y), on a
+surface the nearest of a precomputed set of deck translates).  H^2 triangles
+are solved in the hyperboloid model with the helpers of `hyperboloid`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, comb, cosh, log, pi
 
 import numpy as np
 
-from . import hyperbolic
 from .errors import CapExceededError, PreconditionError
 from .hyperbolic import HPoint
 from .hyperboloid import (h2_point_to_hyperboloid, hdistance, minkowski_form, normalize_point,
@@ -71,24 +69,6 @@ def _h2_minimax(points):
     return hdistance(normalize_point(p), v[0])
 
 
-class EuclideanMetric:
-    """Plain R^n with points as arrays."""
-
-    def __init__(self, dim=2):
-        self.dim = dim
-
-    def distance(self, x, y):
-        return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
-
-    def minimax_radius(self, x, y, z):
-        return _euclid_minimax([x, y, z])
-
-    def ball_volume(self, r):
-        if self.dim == 2:
-            return pi * r * r
-        raise NotImplementedError("volume formula only kept for dimension 2")
-
-
 class TorusMetric:
     """Flat torus R^n / Z^n (unit periods), measured through nearest lifts.
 
@@ -114,19 +94,6 @@ class TorusMetric:
         return min(pi * r * r, 1.0)
 
 
-class HyperbolicMetric:
-    """H^2 in half-plane coordinates (HPoint)."""
-
-    def distance(self, x, y):
-        return hyperbolic.distance(x, y)
-
-    def minimax_radius(self, x, y, z):
-        return _h2_minimax([x, y, z])
-
-    def ball_volume(self, r):
-        return 2 * pi * (cosh(r) - 1)
-
-
 class SurfaceMetric:
     """Closed hyperbolic surface as a quotient, measured through nearest
     lifts among a displacement-pruned set of deck translates.
@@ -138,8 +105,6 @@ class SurfaceMetric:
     """
 
     def __init__(self, group, base, region_radius, interaction_radius, slack=None):
-        self.group = group
-        self.base = base
         keep = 2.0 * region_radius + interaction_radius + 0.1
         self.deck = displacement_pruned_ball(group, base, keep, slack=slack)
         self._abcd = stack_moebius(self.deck)
@@ -171,24 +136,26 @@ class SurfaceMetric:
 class EpsNet:
     centers: list
     eps: float
-    maximal_on_stream: bool
-    stream_size: int
 
 
-def build_eps_net(points, eps, metric, cap=10**4):
+# Most centers an eps-net may hold.
+_NET_CAP = 10**4
+
+
+def build_eps_net(points, eps, metric):
     """Greedy insertion: keep a point iff it is >= eps from every center.
 
     The result is eps-separated and, relative to the sampled stream, maximal
     (every rejected point certifies its own eps-cover)."""
+    if eps <= 0:
+        raise PreconditionError("epsilon must be positive, got %g" % eps)
     centers = []
-    count = 0
     for p in points:
-        count += 1
         if all(metric.distance(p, c) >= eps for c in centers):
             centers.append(p)
-            if len(centers) > cap:
-                raise CapExceededError("eps-net exceeded %d centers" % cap)
-    return EpsNet(centers=centers, eps=eps, maximal_on_stream=True, stream_size=count)
+            if len(centers) > _NET_CAP:
+                raise CapExceededError("eps-net exceeded %d centers" % _NET_CAP)
+    return EpsNet(centers=centers, eps=eps)
 
 
 # -- nerves --------------------------------------------------------------------
@@ -209,6 +176,8 @@ def nerve(net, r, metric):
     balls share a point, decided exactly in constant curvature by the minimax
     radius test: the balls intersect iff min_p max_i d(p, c_i) < r.
     """
+    if r <= 0:
+        raise PreconditionError("ball radius must be positive, got %g" % r)
     cs = net.centers
     n = len(cs)
     edges = []
@@ -230,10 +199,7 @@ def nerve(net, r, metric):
                 if metric.minimax_radius(cs[i], cs[j], cs[k]) < r:
                     triangles.append((i, j, k))
     max_deg = max((len(a) for a in adj), default=0)
-    try:
-        bound = metric.ball_volume(2.5 * net.eps) / metric.ball_volume(net.eps / 2.0)
-    except NotImplementedError:
-        bound = None
+    bound = metric.ball_volume(2.5 * net.eps) / metric.ball_volume(net.eps / 2.0)
     return NerveComplex(vertex_count=n, edges=edges, triangles=triangles,
                         max_degree=max_deg, degree_bound_formula=bound)
 
@@ -245,7 +211,6 @@ class Presentation:
     generator_count: int
     relators: list        # tuples of signed generator indices (1-based)
     tree_edges: list
-    generator_edges: dict = field(default_factory=dict)
 
     def max_relator_length(self):
         return max((len(r) for r in self.relators), default=0)
@@ -297,7 +262,6 @@ def presentation_from_nerve(complex_, edge_order=None):
         generator_count=len(gen_index),
         relators=relators,
         tree_edges=sorted(tree),
-        generator_edges={v: k for k, v in gen_index.items()},
     )
     assert pres.max_relator_length() <= 3
     assert pres.generator_count == len(complex_.edges) - (n - 1)
@@ -398,10 +362,10 @@ def abelianization(presentation):
 
 # -- counting bounded presentations -------------------------------------------------
 
-def word_count(generators, max_length=3):
-    """Nonempty words of length <= max_length over the 2g-letter alphabet."""
+def word_count(generators):
+    """Nonempty words of length <= 3 over the 2g-letter alphabet."""
     letters = 2 * generators
-    return sum(letters ** k for k in range(1, max_length + 1))
+    return sum(letters ** k for k in range(1, 4))
 
 
 def count_presentations(c, v):
@@ -433,20 +397,3 @@ def growth_profile(c, v_list):
         ratio = log(n) / (v * log(v)) if v > 1 else float("nan")
         out.append({"v": v, "digits": len(str(n)), "ratio": ratio})
     return out
-
-
-# -- text export ----------------------------------------------------------------------
-
-def complex_to_text(complex_):
-    lines = ["vertices %d" % complex_.vertex_count]
-    lines += ["e %d %d" % e for e in complex_.edges]
-    lines += ["t %d %d %d" % t for t in complex_.triangles]
-    return "\n".join(lines) + "\n"
-
-
-def presentation_to_text(pres):
-    lines = ["generators %d" % pres.generator_count]
-    for rel in pres.relators:
-        lines.append("relator " + " ".join(
-            ("g%d" % g) if g > 0 else ("g%d^-1" % -g) for g in rel))
-    return "\n".join(lines) + "\n"

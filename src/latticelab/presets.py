@@ -30,8 +30,6 @@ from .euclidean import EuclideanIsometry
 from .hyperbolic import HPoint, MoebiusIsometry
 from .wordballs import FinitelyGeneratedGroup
 
-OCTAGON_SIDE_LENGTH = 2.0 * math.acosh(1.0 + math.sqrt(2.0))
-
 
 def sl2z():
     s = MoebiusIsometry(((0, -1), (1, 0)))
@@ -151,8 +149,8 @@ def halton(count, dim=2, skip=20):
     return pts
 
 
-def sample_sl2z_domain(count, max_height=20.0):
-    """Points of the standard modular domain {|x| <= 1/2, |z| >= 1, y <= H}.
+def sample_sl2z_domain(count):
+    """Points of the standard modular domain {|x| <= 1/2, |z| >= 1, y <= 20}.
 
     Halton points in the strip, rejected below the unit circle; heights drawn
     from the hyperbolic area density dy/y^2 so the cusp is not oversampled.
@@ -162,8 +160,8 @@ def sample_sl2z_domain(count, max_height=20.0):
     y0 = math.sqrt(3.0) / 2.0
     for ux, uy in u:
         x = ux - 0.5
-        # y with density 1/y^2 on [y0, H]: invert the CDF.
-        y = 1.0 / (1.0 / y0 - uy * (1.0 / y0 - 1.0 / max_height))
+        # y with density 1/y^2 on [y0, 20]: invert the CDF.
+        y = 1.0 / (1.0 / y0 - uy * (1.0 / y0 - 1.0 / 20.0))
         if x * x + y * y >= 1.0:
             out.append(HPoint(x, y))
             if len(out) == count:
@@ -199,8 +197,8 @@ def sample_box_h2(count, x_range, y_range):
     return out
 
 
-def sample_torus(count, dim=2):
-    return [np.array(p) for p in halton(count, dim=dim)]
+def sample_torus(count):
+    return [np.array(p) for p in halton(count)]
 
 
 def default_region(preset_name, count=1000):

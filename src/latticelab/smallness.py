@@ -5,15 +5,13 @@ The engine: for matrices a = 1 + X, b = 1 + Y with small X, Y,
 so iterated commutator sets contract to the identity at exponential speed
 once max ||s - 1|| < 1/8 and the inverse norms stay below 2.  Downstream:
 nilpotency detection for discretely generated groups, the abelian-index
-bound for finite subgroups of compact groups, quasi-morphism defects, and
-the short-element subgroup at a point of hyperbolic space.
+bound for finite subgroups of compact groups, and the short-element subgroup
+at a point of hyperbolic space.
 
-Distance to the identity is Frobenius throughout (cheap, submultiplicative);
-`rotation_angle_distance` gives the exact rotation-angle metric of SO(3) for
-comparison.
+Distance to the identity is Frobenius throughout (cheap, submultiplicative).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -36,12 +34,6 @@ def mat_key(m):
         return m
     return tuple((round(x.real / _LADDER_GRID), round(x.imag / _LADDER_GRID))
                  if isinstance(x, complex) else round(x / _LADDER_GRID) for x in _flat(m))
-
-
-def rotation_angle_distance(m):
-    """Exact rotation-angle metric to the identity on SO(3)."""
-    c = (np.trace(np.asarray(m)).real - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, c)))
 
 
 # -- commutators and ladders -----------------------------------------------------
@@ -86,7 +78,6 @@ class CommutatorLadder:
     levels: list                 # level n: deduplicated list of matrices
     max_dists: list              # m_n = max ||s - 1|| per level
     bound_asserted: bool
-    bound_values: list = field(default_factory=list)
     bound_violations: int = 0
 
 
@@ -109,7 +100,7 @@ def commutator_ladder(s, levels):
     inv_ok = all(frobenius_norm(mat_inv(m)) <= 2.0 for m in base)
     m0 = dists[0]
     asserted = m0 < 1.0 / 8.0 and inv_ok
-    bound_values, violations = [], 0
+    violations = 0
     for n in range(1, levels + 1):
         nxt = []
         for a in base:
@@ -118,14 +109,10 @@ def commutator_ladder(s, levels):
         nxt = _dedup(nxt)
         ladder.append(nxt)
         dists.append(max(frobenius_to_identity(m) for m in nxt))
-        if asserted:
-            bound = m0 * (8.0 * m0) ** n
-            bound_values.append(bound)
-            if dists[-1] > bound + 1e-12:
-                violations += 1
+        if asserted and dists[-1] > m0 * (8.0 * m0) ** n + 1e-12:
+            violations += 1
     return CommutatorLadder(levels=ladder, max_dists=dists,
                             bound_asserted=asserted,
-                            bound_values=bound_values,
                             bound_violations=violations)
 
 
@@ -301,29 +288,6 @@ def quaternion_group_su2():
     i = np.array([[1j, 0], [0, -1j]])
     j = np.array([[0.0 + 0j, 1.0], [-1.0, 0.0]])
     return close_under_multiplication([i, j], cap=32)
-
-
-# -- quasi-morphism defect ------------------------------------------------------------
-
-def circle_mult(u, v):
-    return u * v
-
-
-def circle_dist(u, v):
-    """Angle metric on the unit circle in the complexes."""
-    w = u * complex(v).conjugate()
-    return abs(math.atan2(w.imag, w.real))
-
-
-def quasi_morphism_defect(elements, mult, f, target_mult, target_dist):
-    """max over pairs of d(f(ab), f(a) f(b)); zero exactly for homomorphisms."""
-    worst = 0.0
-    for a in elements:
-        fa = f(a)
-        for b in elements:
-            d = target_dist(f(mult(a, b)), target_mult(fa, f(b)))
-            worst = max(worst, d)
-    return worst
 
 
 # -- short-element subgroups at a point -----------------------------------------------

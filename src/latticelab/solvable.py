@@ -63,10 +63,6 @@ class AffineElement:
         return all(x == 1 for x in self.a) and all(x == 0 for x in self.b)
 
 
-def identity_element(primes):
-    return AffineElement(tuple(primes), tuple(1 for _ in primes), tuple(0 for _ in primes))
-
-
 def gamma_element(primes, a_vec):
     """The diagonal-style element (a, a - 1): additive coordinate a_n - 1."""
     ps = tuple(primes)
@@ -75,14 +71,14 @@ def gamma_element(primes, a_vec):
     return AffineElement(ps, a, b)
 
 
-def gamma_closure_check(primes, sample_size=200, seed=11):
+def gamma_closure_check(primes, sample_size=200):
     """Closure and inverses of {(a, a-1)}: exhaustive per prime <= 13,
     random sampling above.  The product identity is
     (a, a-1)(a', a'-1) = (aa', aa'-1)."""
     for p in primes:
         _check_prime(p)
         units = range(1, p) if p <= 13 else None
-        rng = random.Random(seed + p)
+        rng = random.Random(11 + p)
         pairs = (itertools.product(units, units) if units is not None else
                  ((rng.randrange(1, p), rng.randrange(1, p)) for _ in range(sample_size)))
         ps = (p,)
@@ -189,12 +185,12 @@ class LatticeCertificate:
     stabilizes_at: int = None
 
 
-def lattice_certificate(primes, m_max=None, bound=2.0):
+def lattice_certificate(primes, m_max=None):
     """Non-uniformity and finiteness evidence for the diagonal-style subgroup.
 
     The covolume sequence strictly increases (no truncation contains a
     fundamental domain), and the log of the remaining product is at most the
-    series tail sum 1/(p_n - 1); a finite series value under `bound` is the
+    series tail sum 1/(p_n - 1); a finite series value under 2 is the
     lattice-consistency verdict.
     """
     primes = tuple(primes)
@@ -211,7 +207,7 @@ def lattice_certificate(primes, m_max=None, bound=2.0):
     if len(primes) == 1 and stabilizes is None:
         # The one-prime model is complete at level 1: nothing left to grow.
         stabilizes = 1
-    if series >= bound:
+    if series >= 2.0:
         verdict = "not a lattice candidate for this list"
     elif stabilizes is not None:
         verdict = "stabilizes at m = %d; uniform in the truncation" % stabilizes
@@ -244,12 +240,6 @@ class HeisenbergElement:
     def __mul__(self, other):
         return HeisenbergElement(self.x + other.x, self.y + other.y,
                                  self.z + other.z + self.x * other.y)
-
-    def inverse(self):
-        return HeisenbergElement(-self.x, -self.y, -self.z + self.x * self.y)
-
-    def is_integral(self):
-        return all(v.denominator == 1 for v in (self.x, self.y, self.z))
 
 
 def heisenberg_reduce(g):

@@ -217,11 +217,12 @@ def _moebius_kernel(steps, reach):
             det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
             m = m * (1.0 / np.sqrt(det))[:, None]
             big = np.abs(m)
-            ok = ((det >= 1e-9) & (np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2] - 1) <= 1e-9)
+            ok = ((det >= mat2.SINGULAR)
+                  & (np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2] - 1) <= mat2.DET_DRIFT)
                   & (big.max(axis=1) < _KEY_BOUND))
         if not ok.all():
             return fallback(chunk)
-        lead = big > 1e-7
+        lead = big > mat2.SIGN_TOL
         first = m[np.arange(len(m)), lead.argmax(axis=1)]
         m = np.where((lead.any(axis=1) & ~(first > 0))[:, None], -m, m)
         if reach is not None:

@@ -135,7 +135,7 @@ def test_distance_grid_to_line_exact():
 
 def test_distance_sparse_lattice_trivial_inside_small_ball():
     h = ch.ClosedSubgroupRn.lattice([[3.0]])
-    t = ch.ClosedSubgroupRn.trivial(1)
+    t = ch.ClosedSubgroupRn.from_parts(1)
     assert ch.chabauty_distance(h, t, 1.0) == 0.0
     # Once the ball sees the points +-3, they are 3 away from {0}.
     assert ch.chabauty_distance(h, t, 4.0) == pytest.approx(3.0)

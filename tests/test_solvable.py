@@ -18,7 +18,7 @@ def test_group_law_matches_affine_convention():
 
 
 def test_identity_and_inverse():
-    e = sol.identity_element((5, 7))
+    e = sol.AffineElement((5, 7), (1, 1), (0, 0))
     g = sol.AffineElement((5, 7), (2, 3), (1, 6))
     assert (g * g.inverse()).is_identity()
     assert (g.inverse() * g).is_identity()
@@ -130,7 +130,7 @@ def test_partial_products_increase_for_first_primes():
 # -- the certificate ---------------------------------------------------------------------
 
 def test_certificate_sparse_primes_consistent():
-    cert = sol.lattice_certificate((5, 11, 23, 47, 97, 199), bound=2.0)
+    cert = sol.lattice_certificate((5, 11, 23, 47, 97, 199))
     assert cert.verdict == "consistent with non-uniform lattice"
     assert cert.strictly_increasing
     assert cert.series_value < 0.5
@@ -138,7 +138,7 @@ def test_certificate_sparse_primes_consistent():
 
 def test_certificate_all_primes_rejected():
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-    cert = sol.lattice_certificate(primes, bound=2.0)
+    cert = sol.lattice_certificate(primes)
     assert cert.verdict == "not a lattice candidate for this list"
 
 
@@ -153,18 +153,18 @@ def test_certificate_divergence_over_many_primes():
         n += 1
     series = sum(1.0 / (p - 1) for p in primes)
     assert series > 2.0
-    cert = sol.lattice_certificate(tuple(primes[:50]), m_max=8, bound=2.0)
+    cert = sol.lattice_certificate(tuple(primes[:50]), m_max=8)
     assert cert.verdict == "not a lattice candidate for this list"
 
 
 def test_certificate_single_prime_stabilizes():
-    cert = sol.lattice_certificate((5,), m_max=1, bound=2.0)
+    cert = sol.lattice_certificate((5,), m_max=1)
     assert cert.stabilizes_at == 1
     assert cert.verdict == "stabilizes at m = 1; uniform in the truncation"
 
 
 def test_certificate_tail_bound_reported():
-    cert = sol.lattice_certificate((5, 11, 23, 47), m_max=2, bound=2.0)
+    cert = sol.lattice_certificate((5, 11, 23, 47), m_max=2)
     assert cert.tail_bound == pytest.approx(1 / 22 + 1 / 46)
 
 
@@ -186,17 +186,21 @@ def test_heisenberg_group_law_against_matrices():
         assert abs(mc[0, 2] - float(c.z)) < 1e-9
 
 
+def is_integral(h):
+    return all(v.denominator == 1 for v in (h.x, h.y, h.z))
+
+
 def test_heisenberg_reduce_already_in_cell():
     g = sol.HeisenbergElement.of(Fraction(1, 2), Fraction(1, 4), Fraction(3, 4))
     gamma, r = sol.heisenberg_reduce(g)
-    assert gamma.is_integral() and (gamma.x, gamma.y, gamma.z) == (0, 0, 0)
+    assert is_integral(gamma) and (gamma.x, gamma.y, gamma.z) == (0, 0, 0)
     assert (r.x, r.y, r.z) == (g.x, g.y, g.z)
 
 
 def test_heisenberg_reduce_with_group_law_correction():
     g = sol.HeisenbergElement.of(Fraction(5, 2), Fraction(-3, 4), Fraction(13, 4))
     gamma, r = sol.heisenberg_reduce(g)
-    assert gamma.is_integral()
+    assert is_integral(gamma)
     assert all(0 <= v < 1 for v in (r.x, r.y, r.z))
     back = gamma * r
     assert (back.x, back.y, back.z) == (g.x, g.y, g.z)

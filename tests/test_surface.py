@@ -1,0 +1,125 @@
+"""Every public top-level name of the package has a caller.
+
+A name counts as used when src (outside the name's own definition) or the
+benchmark under bench/ refers to it: by name in its own module, through a
+`from ... import`, as `module.name`, or in the benchmark tracer's table of
+wrapped functions.  Tests do not count.  The names in KEPT have no caller
+yet; each waits for the ROADMAP item named beside it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "latticelab"
+BENCH = ROOT / "bench"
+
+KEPT = {
+    "smallness.margulis_short_subgroup": "item 12: a CLI subcommand for the Margulis lemma",
+    "chabauty.sup_formula_check": "item 12: the sup formula under `mahler`",
+    "hyperbolic.sequence_contraction_witness": "item 12: the contraction witness under `zassenhaus`",
+    "smallness.nilpotency_class": "item 12: a CLI caller for nilpotency detection",
+    "lattice_lab.covolume_h2": "item 13: covolumes of Dirichlet domains",
+    "lattice_lab.covolume_h2_exact": "item 14: exact areas of triangle-group domains",
+    "lattice_lab.genus_area_exact": "item 9: the areas of the genus-g decks",
+}
+
+
+def _modules():
+    return {f.stem: ast.parse(f.read_text()) for f in sorted(PACKAGE.glob("*.py"))}
+
+
+def _definitions(tree):
+    """Top-level name -> defining node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    out[t.id] = node
+    return out
+
+
+def _imports(tree, modules):
+    """(local name -> module, local name -> (module, name)) of a file's
+    imports from the package."""
+    mods, names = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if node.level == 0:
+            if source != "latticelab" and not source.startswith("latticelab."):
+                continue
+            source = source[len("latticelab."):] if "." in source else ""
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if not source and alias.name in modules:
+                mods[local] = alias.name
+            elif source in modules:
+                names[local] = (source, alias.name)
+    return mods, names
+
+
+def _references(tree, own, modules, skip=()):
+    """(module, name) pairs the file refers to; `own` is its own module name
+    (or None), and nodes in `skip` are not searched."""
+    mods, names = _imports(tree, modules)
+    skipped = {id(n) for s in skip for n in ast.walk(s)}
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in names:
+                out.add(names[node.id])
+            elif own is not None:
+                out.add((own, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in mods):
+            out.add((mods[node.value.id], node.attr))
+        elif isinstance(node, ast.Dict):
+            # The tracer's table: module name -> ["function", "Class.method"].
+            for k, v in zip(node.keys, node.values):
+                if (isinstance(k, ast.Constant) and k.value in modules
+                        and isinstance(v, ast.List)):
+                    out |= {(k.value, e.value.split(".")[0]) for e in v.elts
+                            if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return out
+
+
+def _resolve(ref, modules, definitions):
+    """Follow a re-export (`smallness.frobenius_to_identity`) to its definition."""
+    mod, name = ref
+    for _ in range(len(modules)):
+        if name in definitions[mod]:
+            return mod, name
+        _, names = _imports(modules[mod], modules)
+        if name not in names:
+            return ref
+        mod, name = names[name]
+    return ref
+
+
+def unreferenced_public_names():
+    modules = _modules()
+    definitions = {m: _definitions(t) for m, t in modules.items()}
+    used = set()
+    for mod, tree in modules.items():
+        used |= {(mod, name) for name, node in definitions[mod].items()
+                 if (mod, name) in _references(tree, mod, modules, skip=[node])}
+        used |= {r for r in _references(tree, mod, modules) if r[0] != mod}
+    for f in sorted(BENCH.glob("*.py")):
+        if f.name.startswith("test_"):
+            continue
+        used |= _references(ast.parse(f.read_text()), None, modules)
+    used = {_resolve(r, modules, definitions) for r in used}
+    return sorted("%s.%s" % (mod, name) for mod in modules for name in definitions[mod]
+                  if not name.startswith("_") and (mod, name) not in used)
+
+
+def test_every_public_name_has_a_caller_or_waits_for_an_item():
+    assert unreferenced_public_names() == sorted(KEPT)
