@@ -82,21 +82,36 @@ def _sqnorms(p):
     return np.matmul(p[..., None, :], p[..., :, None])[..., 0, 0]
 
 
+# Coefficient rows per block of lattice_points_in_ball's box enumeration.
+_BOX_BLOCK = 1 << 16
+
+
 def lattice_points_in_ball(basis, radius, cap=2_000_000):
     """All lattice points of norm <= radius as rows, by box enumeration over
     coefficients in itertools.product order (certified: the coefficient box
-    contains every candidate because ||z B|| >= sigma_min ||z||)."""
+    contains every candidate because ||z B|| >= sigma_min ||z||).  The box
+    is enumerated in blocks of whole slabs of the first coefficient, of at
+    most _BOX_BLOCK rows unless one slab is longer, so memory stays bounded
+    and a box of at most _BOX_BLOCK rows takes one pass."""
     b = np.array(basis, dtype=float)
     m = b.shape[0]
     smin = np.linalg.svd(b, compute_uv=False).min()
     if smin < 1e-12:
         raise PreconditionError("basis not independent")
     k = int(math.floor(radius / smin)) + 1
-    if (2 * k + 1) ** m > cap:
+    side = 2 * k + 1
+    if side ** m > cap:
         raise PreconditionError("enumeration box too large; reduce the basis or radius")
-    z = np.indices((2 * k + 1,) * m, dtype=float).reshape(m, -1).T - k
-    p = np.matmul(z[:, None, :], b)[:, 0]    # row by row: rounded as each z @ b
-    return p[_sqnorms(p) <= radius * radius + 1e-12]
+    step = max(1, _BOX_BLOCK // side ** (m - 1))   # first-coefficient values per block
+    blocks = []
+    for first in range(0, side, step):
+        shape = (min(step, side - first),) + (side,) * (m - 1)
+        z = np.indices(shape, dtype=float).reshape(m, -1).T - k
+        if first:
+            z[:, 0] += first
+        p = np.matmul(z[:, None, :], b)[:, 0]    # row by row: rounded as each z @ b
+        blocks.append(p[_sqnorms(p) <= radius * radius + 1e-12])
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def shortest_vector(basis):

@@ -4,15 +4,23 @@ Reports are JSON (sorted keys, no timestamps) so identical (config, seed)
 pairs produce byte-identical files; wall-clock time goes to stderr only.
 Exit codes: 0 success, 2 precondition violation, 3 numerically borderline
 outcome.
+
+Input contract: flags and `--config` entries are parsed by the same table
+(`COMMANDS` beside `SHARED`).  A config line `key = value`, key spelled as
+the flag or its dest, is the token `--key=value` after the flags, so entries
+override flags.  Every bad input exits 2 with `precondition violated:` on
+stderr and writes no report.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 import time
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,23 +35,6 @@ from .euclidean import EuclideanIsometry, crystallographic_analysis
 from .hyperbolic import HPoint, MoebiusIsometry, classify
 from .mat2 import as_tuple, parse_entry
 from .wordballs import word_ball
-
-VERIFIES = {
-    "classify": "isometry trichotomy: elliptic / parabolic / hyperbolic with axis and length",
-    "thickthin": "thick-thin decomposition: thin components are tubes or cusps",
-    "psi-check": "displacement Morse function: gradient vanishes exactly where the function does",
-    "presentation": "nerve presentations with relators of length at most 3",
-    "count-presentations": "super-exponential window for counting bounded presentations",
-    "chabauty": "convergence of closed subgroups under the truncation metric",
-    "mahler": "compactness of bounded-covolume, short-vector-bounded lattice families",
-    "solvable": "non-uniform lattice in a metabelian group: exact indices and covolume",
-    "heisenberg": "unipotent integral lattice: constructive fundamental domain",
-    "zassenhaus": "commutator contraction near the identity",
-    "jordan": "finite subgroups of compact groups: bounded abelian index",
-    "crystallo": "crystallographic structure: translation lattice and point group",
-    "recurrence": "recurrence of powers through a fixed window, witnessed in the lattice",
-    "span": "weak density: regular elements and full matrix span",
-}
 
 
 def to_jsonable(obj):
@@ -70,10 +61,11 @@ def to_jsonable(obj):
     return obj
 
 
-def _emit(args, config, result):
+def _emit(args, result):
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
     report = {
         "config": to_jsonable(config),
-        "verifies": VERIFIES[config["subcommand"]],
+        "verifies": COMMANDS[args.subcommand].verifies,
         "result": to_jsonable(result),
     }
     if args.format == "json":
@@ -89,8 +81,11 @@ def _emit(args, config, result):
             lines = [str(r) for r in rows]
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError("--out %r: %s" % (args.out, exc.strerror)) from None
     else:
         sys.stdout.write(text)
 
@@ -114,13 +109,6 @@ def _parse_list(text, convert, flag):
         raise PreconditionError("%s %r: %s" % (flag, text, exc)) from None
 
 
-CLASSIFY_PRESETS = {
-    "sl2z-T": ((1, 1), (0, 1)),
-    "sl2z-S": ((0, -1), (1, 0)),
-    "hyperbolic-2": ((2, 0), (0, Fraction(1, 2))),
-}
-
-
 def _preset_group(name, kind, subcommand):
     """The named preset group; the subcommand reads its generators as `kind`."""
     group = presets.get_group(name)
@@ -130,14 +118,13 @@ def _preset_group(name, kind, subcommand):
     return group
 
 
-def cmd_classify(args, config):
+def cmd_classify(args):
     if args.matrix:
         g = _parse_matrix(args.matrix)
     else:
-        m = CLASSIFY_PRESETS.get(args.preset or "sl2z-T")
-        if m is None:
-            raise PreconditionError("unknown classify preset %r" % args.preset)
-        g = MoebiusIsometry(m)
+        matrices = {"sl2z-T": ((1, 1), (0, 1)), "sl2z-S": ((0, -1), (1, 0)),
+                    "hyperbolic-2": ((2, 0), (0, Fraction(1, 2)))}
+        g = MoebiusIsometry(presets.lookup(matrices, args.preset or "sl2z-T", "classify preset"))
     cls = classify(g)
     return {
         "class": cls.kind,
@@ -149,7 +136,7 @@ def cmd_classify(args, config):
     }
 
 
-def cmd_thickthin(args, config):
+def cmd_thickthin(args):
     name = args.preset or "sl2z"
     params = {"length": args.length} if name == "cyclic-hyperbolic" else {}
     group = presets.get_group(name, **params)
@@ -169,7 +156,7 @@ def cmd_thickthin(args, config):
     }
 
 
-def cmd_psi_check(args, config):
+def cmd_psi_check(args):
     group = _preset_group(args.preset or "cusp-model", MoebiusIsometry, "psi-check")
     ys = np.linspace(0.5, 10.0, args.samples)
     samples = [HPoint(0.0, float(y)) for y in ys]
@@ -182,13 +169,16 @@ def cmd_psi_check(args, config):
     }
 
 
-def cmd_presentation(args, config):
+def cmd_presentation(args):
     name = args.preset or "torus"
+    default_epsilon = presets.lookup({"torus": 0.2, "octagon-genus2": 0.5}, name,
+                                     "presentation preset")
     # Cover balls a hair above the net parameter: maximality holds only on
     # the sample stream, so radius-eps balls can leave slivers uncovered.
-    eps = args.epsilon if args.epsilon is not None else (0.2 if name == "torus" else 0.5)
-    radius = args.radius if args.radius is not None else round(1.1 * eps, 6)
-    config["epsilon"], config["radius"] = eps, radius
+    # Both flags are positive when given, so `or` replaces only None; the
+    # resolved values go back on args, so the report echoes them.
+    eps = args.epsilon = args.epsilon or default_epsilon
+    radius = args.radius = args.radius or round(1.1 * eps, 6)
     if name == "torus":
         if radius > 0.25:
             raise PreconditionError(
@@ -196,15 +186,13 @@ def cmd_presentation(args, config):
                 "not exact; lower --radius, or --epsilon (default radius 1.1 * epsilon)" % radius)
         metric = nerve.TorusMetric()
         pts = presets.sample_torus(args.samples)
-    elif name == "octagon-genus2":
+    else:
         group = presets.get_group(name)
         metric = nerve.SurfaceMetric(
             group, presets.octagon_center(),
             region_radius=presets.octagon_circumradius(),
             interaction_radius=2.0 * radius)
         pts = presets.default_region(name, count=args.samples)
-    else:
-        raise PreconditionError("presentation presets: torus, octagon-genus2")
     net = nerve.build_eps_net(pts, eps, metric)
     complex_ = nerve.nerve(net, radius, metric)
     pres = nerve.presentation_from_nerve(complex_)
@@ -223,26 +211,19 @@ def cmd_presentation(args, config):
     }
 
 
-def cmd_count_presentations(args, config):
-    vs = _parse_list(args.v_list, int, "--v-list")
-    profile = nerve.growth_profile(args.c, vs)
-    return profile
+def cmd_count_presentations(args):
+    return nerve.growth_profile(args.c, _parse_list(args.v_list, int, "--v-list"))
 
 
-def cmd_chabauty(args, config):
-    family = args.family or "one-over-n"
+def cmd_chabauty(args):
+    families = {  # family -> basis of its k-th lattice
+        "one-over-n": lambda k: [[1.0 / k]],
+        "n-z": lambda k: [[float(k)]],
+        "rotating-z1": lambda k: [[math.cos(1.0 / k), math.sin(1.0 / k)]],
+    }
+    basis = presets.lookup(families, args.family or "one-over-n", "chabauty family")
     radii = _parse_list(args.radius_list, float, "--radius-list")
-    if family == "one-over-n":
-        seq = [chabauty.ClosedSubgroupRn.lattice([[1.0 / k]])
-               for k in range(1, args.count + 1)]
-    elif family == "n-z":
-        seq = [chabauty.ClosedSubgroupRn.lattice([[float(k)]])
-               for k in range(1, args.count + 1)]
-    elif family == "rotating-z1":
-        seq = [chabauty.ClosedSubgroupRn.lattice(
-            [[math.cos(1.0 / k), math.sin(1.0 / k)]]) for k in range(1, args.count + 1)]
-    else:
-        raise PreconditionError("chabauty families: one-over-n, n-z, rotating-z1")
+    seq = [chabauty.ClosedSubgroupRn.lattice(basis(k)) for k in range(1, args.count + 1)]
     res = chabauty.chabauty_limit(seq, radii, tol=args.tol)
     return {
         "converged": res.converged,
@@ -253,16 +234,14 @@ def cmd_chabauty(args, config):
     }
 
 
-def cmd_mahler(args, config):
-    family = args.family or "rotating"
-    if family == "rotating":
-        bases = [np.array([[math.cos(1.0 / k), math.sin(1.0 / k)],
-                           [-math.sin(1.0 / k), math.cos(1.0 / k)]])
-                 for k in range(1, args.count + 1)]
-    elif family == "diagonal":
-        bases = [np.diag([1.0 / k, float(k)]) for k in range(1, args.count + 1)]
-    else:
-        raise PreconditionError("unknown mahler family %r; known: rotating, diagonal" % family)
+def cmd_mahler(args):
+    families = {  # family -> basis of its k-th lattice
+        "rotating": lambda k: np.array([[math.cos(1.0 / k), math.sin(1.0 / k)],
+                                        [-math.sin(1.0 / k), math.cos(1.0 / k)]]),
+        "diagonal": lambda k: np.diag([1.0 / k, float(k)]),
+    }
+    basis = presets.lookup(families, args.family or "rotating", "mahler family")
+    bases = [basis(k) for k in range(1, args.count + 1)]
     res = chabauty.mahler_subsequence(bases, args.covolume_bound, args.shortest_bound)
     return {
         "subsequence_length": len(res.indices),
@@ -272,7 +251,7 @@ def cmd_mahler(args, config):
     }
 
 
-def cmd_solvable(args, config):
+def cmd_solvable(args):
     primes = tuple(_parse_list(args.primes, int, "--primes"))
     m = args.m if args.m is not None else len(primes)
     cert = solvable.lattice_certificate(primes, m_max=m)
@@ -285,12 +264,11 @@ def cmd_solvable(args, config):
     }
 
 
-def cmd_heisenberg(args, config):
+def cmd_heisenberg(args):
     coords = _parse_list(args.coords, parse_entry, "--coords")
     if len(coords) != 3:
         raise PreconditionError("--coords %r: expected three entries x,y,z" % args.coords)
-    x, y, z = coords
-    g = solvable.HeisenbergElement.of(x, y, z)
+    g = solvable.HeisenbergElement.of(*coords)
     gamma, r = solvable.heisenberg_reduce(g)
     return {
         "lattice_part": [gamma.x, gamma.y, gamma.z],
@@ -298,7 +276,7 @@ def cmd_heisenberg(args, config):
     }
 
 
-def cmd_zassenhaus(args, config):
+def cmd_zassenhaus(args):
     rng = np.random.default_rng(args.seed)
     dim = args.dim
     violations = 0
@@ -328,14 +306,9 @@ def cmd_zassenhaus(args, config):
     }
 
 
-def cmd_jordan(args, config):
-    name = args.group or "a5"
-    if name == "a5":
-        elements = smallness.icosahedral_rotation_group()
-    elif name == "q8":
-        elements = smallness.quaternion_group_su2()
-    else:
-        raise PreconditionError("unknown jordan group %r; known: a5, q8" % name)
+def cmd_jordan(args):
+    groups = {"a5": smallness.icosahedral_rotation_group, "q8": smallness.quaternion_group_su2}
+    elements = presets.lookup(groups, args.group or "a5", "jordan group")()
     rep = smallness.jordan_abelian_index(elements, args.epsilon)
     oracle_index, oracle_size = smallness.max_abelian_index_bruteforce(elements)
     return {
@@ -348,150 +321,152 @@ def cmd_jordan(args, config):
     }
 
 
-def cmd_crystallo(args, config):
+def cmd_crystallo(args):
     group = _preset_group(args.preset or "p2", EuclideanIsometry, "crystallo")
-    rep = crystallographic_analysis(group.generators, args.cutoff)
-    return rep
+    return crystallographic_analysis(group.generators, args.cutoff)
 
 
-def cmd_recurrence(args, config):
+def cmd_recurrence(args):
     family = args.family or "real"
+    shown = presets.lookup({"real": 200, "sl2z": 50}, family, "recurrence family")
     if family == "real":
         hits = lattice_lab.recurrence_search_real(args.g, args.epsilon, args.n_max)
-        return {"hits": hits[:200], "hit_count": len(hits)}
-    if family != "sl2z":
-        raise PreconditionError("unknown recurrence family %r; known: real, sl2z" % family)
-    theta = args.g
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    g = MoebiusIsometry(((c, s), (-s, c)))
-    hits = lattice_lab.recurrence_search_sl2z(g, args.epsilon, args.n_max)
-    return {"hits": hits[:50], "hit_count": len(hits)}
+    else:
+        c, s = math.cos(args.g / 2.0), math.sin(args.g / 2.0)
+        hits = lattice_lab.recurrence_search_sl2z(
+            MoebiusIsometry(((c, s), (-s, c))), args.epsilon, args.n_max)
+    return {"hits": hits[:shown], "hit_count": len(hits)}
 
 
-def cmd_span(args, config):
+def cmd_span(args):
     group = _preset_group(args.preset or "sl2z", MoebiusIsometry, "span")
-    rep = lattice_lab.span_check(group, args.word_ball)
-    return rep
+    return lattice_lab.span_check(group, args.word_ball)
 
 
-COMMANDS = {
-    "classify": cmd_classify,
-    "thickthin": cmd_thickthin,
-    "psi-check": cmd_psi_check,
-    "presentation": cmd_presentation,
-    "count-presentations": cmd_count_presentations,
-    "chabauty": cmd_chabauty,
-    "mahler": cmd_mahler,
-    "solvable": cmd_solvable,
-    "heisenberg": cmd_heisenberg,
-    "zassenhaus": cmd_zassenhaus,
-    "jordan": cmd_jordan,
-    "crystallo": cmd_crystallo,
-    "recurrence": cmd_recurrence,
-    "span": cmd_span,
+def _positive(convert, default):
+    """The flag spec of a value read by `convert` that must be above zero."""
+    def parse(text):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError("%r is not positive" % text)
+        return value
+    parse.__name__ = convert.__name__
+    return {"type": parse, "default": default}
+
+
+# The flags of every subcommand.  Every report echoes their values, so a
+# change here changes every golden report.
+SHARED = {
+    "--preset": {},
+    "--epsilon": _positive(float, 0.2),
+    "--word-ball": _positive(int, 6),
+    "--radius": _positive(float, 0.6),
+    "--seed": {"type": int, "default": 0},
+    "--out": {},
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--samples": _positive(int, 1000),
 }
 
 
+class Command(NamedTuple):
+    run: Callable       # args -> result
+    verifies: str       # the claim its report checks
+    flags: dict = {}    # its own flags, beside SHARED
+    defaults: dict = {}  # its overrides of SHARED defaults
+
+
+COMMANDS = {
+    "classify": Command(
+        cmd_classify,
+        "isometry trichotomy: elliptic / parabolic / hyperbolic with axis and length",
+        {"--matrix": {}}),
+    "thickthin": Command(
+        cmd_thickthin, "thick-thin decomposition: thin components are tubes or cusps",
+        {"--length": _positive(float, 0.05)}),
+    "psi-check": Command(
+        cmd_psi_check,
+        "displacement Morse function: gradient vanishes exactly where the function does",
+        {"--step": _positive(float, 1e-4)}),
+    "presentation": Command(
+        cmd_presentation, "nerve presentations with relators of length at most 3",
+        defaults={"epsilon": None, "radius": None, "samples": 1500}),
+    "count-presentations": Command(
+        cmd_count_presentations, "super-exponential window for counting bounded presentations",
+        {"--c": _positive(float, 1.0), "--v-list": {"default": "4,8,16,32"}}),
+    "chabauty": Command(
+        cmd_chabauty, "convergence of closed subgroups under the truncation metric",
+        {"--family": {}, "--count": _positive(int, 50), "--radius-list": {"default": "1,2,4"},
+         "--tol": _positive(float, 2e-2)}),
+    "mahler": Command(
+        cmd_mahler, "compactness of bounded-covolume, short-vector-bounded lattice families",
+        {"--family": {}, "--count": _positive(int, 40),
+         "--covolume-bound": _positive(float, 1.5), "--shortest-bound": _positive(float, 0.9)}),
+    "solvable": Command(
+        cmd_solvable, "non-uniform lattice in a metabelian group: exact indices and covolume",
+        {"--primes": {"default": "5,7,11"}, "--m": {"type": int}}),
+    "heisenberg": Command(
+        cmd_heisenberg, "unipotent integral lattice: constructive fundamental domain",
+        {"--coords": {"default": "5/2,-3/4,13/4"}}),
+    "zassenhaus": Command(
+        cmd_zassenhaus, "commutator contraction near the identity",
+        {"--pairs": _positive(int, 1000), "--levels": _positive(int, 5),
+         "--dim": _positive(int, 2)}),
+    "jordan": Command(
+        cmd_jordan, "finite subgroups of compact groups: bounded abelian index", {"--group": {}}),
+    "crystallo": Command(
+        cmd_crystallo, "crystallographic structure: translation lattice and point group",
+        {"--cutoff": _positive(int, 6)}),
+    "recurrence": Command(
+        cmd_recurrence, "recurrence of powers through a fixed window, witnessed in the lattice",
+        {"--family": {}, "--g": {"type": float, "default": 0.5}, "--n-max": _positive(int, 100)}),
+    "span": Command(cmd_span, "weak density: regular elements and full matrix span"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input as a PreconditionError instead of exiting."""
+
+    def error(self, message):
+        raise PreconditionError("%s: %s" % (self.prog, message))
+
+
+@functools.cache
 def build_parser():
-    p = argparse.ArgumentParser(prog="latticelab",
-                                description="desk-scale discrete-group experiments")
-    p.add_argument("--config", help="key=value file; entries override flags")
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--preset")
-        sp.add_argument("--epsilon", type=float, default=0.2)
-        sp.add_argument("--word-ball", type=int, default=6, dest="word_ball")
-        sp.add_argument("--radius", type=float, default=0.6)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--samples", type=int, default=1000)
-
-    sp = sub.add_parser("classify"); common(sp)
-    sp.add_argument("--matrix")
-    sp = sub.add_parser("thickthin"); common(sp)
-    sp.add_argument("--length", type=float, default=0.05)
-    sp = sub.add_parser("psi-check"); common(sp)
-    sp.add_argument("--step", type=float, default=1e-4)
-    sp = sub.add_parser("presentation"); common(sp)
-    sp.set_defaults(epsilon=None, radius=None, samples=1500)
-    sp = sub.add_parser("count-presentations"); common(sp)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--v-list", default="4,8,16,32", dest="v_list")
-    sp = sub.add_parser("chabauty"); common(sp)
-    sp.add_argument("--family")
-    sp.add_argument("--count", type=int, default=50)
-    sp.add_argument("--radius-list", default="1,2,4", dest="radius_list")
-    sp.add_argument("--tol", type=float, default=2e-2)
-    sp = sub.add_parser("mahler"); common(sp)
-    sp.add_argument("--family")
-    sp.add_argument("--count", type=int, default=40)
-    sp.add_argument("--covolume-bound", type=float, default=1.5, dest="covolume_bound")
-    sp.add_argument("--shortest-bound", type=float, default=0.9, dest="shortest_bound")
-    sp = sub.add_parser("solvable"); common(sp)
-    sp.add_argument("--primes", default="5,7,11")
-    sp.add_argument("--m", type=int)
-    sp = sub.add_parser("heisenberg"); common(sp)
-    sp.add_argument("--coords", default="5/2,-3/4,13/4")
-    sp = sub.add_parser("zassenhaus"); common(sp)
-    sp.add_argument("--pairs", type=int, default=1000)
-    sp.add_argument("--levels", type=int, default=5)
-    sp.add_argument("--dim", type=int, default=2)
-    sp = sub.add_parser("jordan"); common(sp)
-    sp.add_argument("--group")
-    sp = sub.add_parser("crystallo"); common(sp)
-    sp.add_argument("--cutoff", type=int, default=6)
-    sp = sub.add_parser("recurrence"); common(sp)
-    sp.add_argument("--family")
-    sp.add_argument("--g", type=float, default=0.5)
-    sp.add_argument("--n-max", type=int, default=100, dest="n_max")
-    sp = sub.add_parser("span"); common(sp)
-    return p
+    """The parser of `COMMANDS`; the table is static, so one per process."""
+    parser = _Parser(prog="latticelab", description="desk-scale discrete-group experiments")
+    parser.add_argument("--config", help="key=value file; entries override flags")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.verifies)
+        for flag, spec in {**SHARED, **command.flags}.items():
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(**command.defaults)
+    return parser
 
 
-def _apply_config_file(args, parser):
-    """Set each `key = value` line of the --config file on args, converted by
-    the type of the subcommand's flag with that dest."""
-    if not args.config:
-        return
-    # argparse has no public accessor for a subparser's actions.
-    (subparsers,) = (a for a in parser._actions if a.dest == "subcommand")
-    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions
-               if hasattr(args, a.dest)}
-    with open(args.config) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            action = actions.get(key)
-            if action is None:
-                raise PreconditionError("unknown config key %r" % key)
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except ValueError:
-                    raise PreconditionError(
-                        "config key %r: %r is not a valid %s" % (key, value, action.type.__name__)
-                    ) from None
-            if action.choices is not None and value not in action.choices:
-                raise PreconditionError("config key %r: %r is not one of %s"
-                                        % (key, value, ", ".join(action.choices)))
-            setattr(args, key, value)
+def _config_tokens(path):
+    """The `key = value` lines of a --config file as `--key=value` tokens;
+    blank lines and lines starting with # are skipped."""
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as exc:
+        raise PreconditionError("--config %r: %s" % (path, exc.strerror)) from None
+    pairs = [line.partition("=") for line in lines if line and not line.startswith("#")]
+    return ["--%s=%s" % (k.strip().replace("_", "-"), v.strip()) for k, _, v in pairs]
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser)
-        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("out",)}
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(argv + _config_tokens(args.config))
         start = time.monotonic()
-        result = COMMANDS[args.subcommand](args, config)
+        result = COMMANDS[args.subcommand].run(args)
         elapsed = time.monotonic() - start
-        _emit(args, config, result)
+        _emit(args, result)
         print("elapsed: %.3fs" % elapsed, file=sys.stderr)
         return 0
     except BorderlineClassificationError as exc:

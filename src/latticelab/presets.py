@@ -108,13 +108,18 @@ GROUP_PRESETS = {
 }
 
 
-def get_group(name, **params):
+def lookup(table, name, what):
+    """table[name], or a PreconditionError naming the unknown `what` and the
+    known names."""
     try:
-        factory = GROUP_PRESETS[name]
+        return table[name]
     except KeyError:
-        raise PreconditionError("unknown preset %r; known: %s"
-                                % (name, ", ".join(sorted(GROUP_PRESETS)))) from None
-    return factory(**params)
+        raise PreconditionError("unknown %s %r; known: %s"
+                                % (what, name, ", ".join(sorted(table)))) from None
+
+
+def get_group(name, **params):
+    return lookup(GROUP_PRESETS, name, "preset")(**params)
 
 
 # -- deterministic samplers ------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -188,7 +189,7 @@ def _hausdorff(xs, ys):
     return max(_directed(xs, ys), _directed(ys, xs))
 
 
-def test_lattice_points_match_the_product_enumeration_row_for_row():
+def test_lattice_points_match_the_product_enumeration_row_for_row(monkeypatch):
     rng = np.random.default_rng(31)
     for m in (1, 2, 3, 4):
         done = 0
@@ -199,10 +200,27 @@ def test_lattice_points_match_the_product_enumeration_row_for_row():
                 continue
             radius = float(rng.uniform(1.0, 2.5))
             k = int(math.floor(radius / smin)) + 1
-            got = ch.lattice_points_in_ball(basis, radius)
-            assert got.shape[1] == m
-            assert np.array_equal(got, _product_points(basis, radius, k))
+            want = _product_points(basis, radius, k)
+            # One pass over the box, then one slab of the first coefficient
+            # per block, then three slabs per block (the last may be short).
+            for block in (ch._BOX_BLOCK, 1, 3 * (2 * k + 1) ** (m - 1)):
+                monkeypatch.setattr(ch, "_BOX_BLOCK", block)
+                got = ch.lattice_points_in_ball(basis, radius)
+                assert got.shape[1] == m
+                assert np.array_equal(got, want)
+            monkeypatch.undo()
             done += 1
+
+
+def test_lattice_points_memory_is_bounded_by_the_block():
+    # The 37^4-cell box took 134 MB in one pass; its 464665 points are 15 MB.
+    tracemalloc.start()
+    try:
+        assert len(ch.lattice_points_in_ball(0.1 * np.eye(4), 1.75)) == 464665
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_lattice_points_cap_is_the_coefficient_box():

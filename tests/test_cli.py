@@ -80,32 +80,53 @@ def test_default_reports_run_without_scipy(argv, capsys):
     ["thickthin", "--epsilon", "0"],
     ["thickthin", "--epsilon", "-1"],
     ["psi-check", "--epsilon", "0"],
-], ids=" ".join)
+    ["zassenhaus", "--epsilon", "0"],
+    ["recurrence", "--epsilon", "-0.1"],
+    ["zassenhaus", "--pairs", "0"],
+    ["zassenhaus", "--dim", "0"],
+    ["thickthin", "--samples", "0"],
+    ["classify", "--bogus"],
+    [],
+], ids=lambda argv: " ".join(argv) or "no subcommand")
 def test_bad_input_is_a_precondition_violation(argv, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("precondition violated:")
 
 
-@pytest.mark.parametrize("subcommand, flag, value", [
+@pytest.mark.parametrize("subcommand, key, value", [
     ("presentation", "epsilon", "0.19"),
     ("solvable", "m", "2"),
+    ("span", "word_ball", "3"),
 ])
-def test_config_file_matches_flags(subcommand, flag, value, tmp_path, capsys):
+def test_config_file_matches_flags(subcommand, key, value, tmp_path, capsys):
     # The report echoes the --config path, so both runs name the same file:
-    # first holding no entries, then holding the flag's value.
+    # first holding no entries, then holding the value under the flag's dest.
     config = tmp_path / "run.cfg"
     config.write_text("# no entries\n")
-    with_flags = report(["--config", str(config), subcommand, "--" + flag, value], capsys)
-    config.write_text("%s = %s\n" % (flag, value))
+    flag = "--" + key.replace("_", "-")
+    with_flags = report(["--config", str(config), subcommand, flag, value], capsys)
+    config.write_text("%s = %s\n" % (key, value))
     assert report(["--config", str(config), subcommand], capsys) == with_flags
 
 
-@pytest.mark.parametrize("entry", ["bogus = 1", "samples = abc", "format = xml"])
-def test_bad_config_entry_is_a_precondition_violation(entry, tmp_path, capsys):
+@pytest.mark.parametrize("subcommand, entry", [
+    pytest.param("presentation", "bogus = 1", id="bogus = 1"),
+    pytest.param("presentation", "samples = abc", id="samples = abc"),
+    pytest.param("presentation", "format = xml", id="format = xml"),
+    pytest.param("zassenhaus", "epsilon = 0", id="zassenhaus epsilon = 0"),
+])
+def test_bad_config_entry_is_a_precondition_violation(subcommand, entry, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(entry + "\n")
-    assert cli.main(["--config", str(config), "presentation"]) == 2
+    assert cli.main(["--config", str(config), subcommand]) == 2
     assert capsys.readouterr().err.startswith("precondition violated:")
+
+
+def test_unusable_file_is_a_precondition_violation(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "file")
+    for argv in (["--config", missing, "classify"], ["classify", "--out", missing]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("precondition violated:")
 
 
 def test_default_chabauty_limit_of_one_over_n_is_the_line(capsys):
