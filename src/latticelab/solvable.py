@@ -9,7 +9,11 @@ on the direct sum of their additive groups, with group law
 giving the compact part measure one.  Finiteness of the infinite product is
 tested through the series criterion sum 1/(p_n - 1) < B (an implementation
 lemma: log prod p/(p-1) = sum log(1 + 1/(p-1)) <= sum 1/(p-1)), verified
-numerically in the tests.
+numerically in the tests.  The indices are counted by enumeration: a
+truncation is an int64 array with one row (a | b) per element, an element
+of G_m is named by its position in G_m's own enumeration, and every coset
+is one vectorized product whose entries stay below p^2 < 2^63; a product
+outside G_m raises instead of being counted.
 
 Second, the integral lattice of the group of unipotent upper-triangular
 3x3 matrices, with the constructive fundamental-domain reduction onto
@@ -23,12 +27,20 @@ import itertools
 import math
 import random
 
+import numpy as np
+
 from .errors import PreconditionError
 
 
-def _check_prime(p):
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
-        raise PreconditionError("%d is not prime (composite modulus)" % p)
+def _check_primes(primes):
+    """The prime list as a tuple; a modulus below 2 or composite raises."""
+    primes = tuple(primes)
+    for p in primes:
+        if p < 2:
+            raise PreconditionError("%d is not prime (a modulus is at least 2)" % p)
+        if any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+            raise PreconditionError("%d is not prime (composite modulus)" % p)
+    return primes
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,7 @@ def gamma_closure_check(primes, sample_size=200):
     """Closure and inverses of {(a, a-1)}: exhaustive per prime <= 13,
     random sampling above.  The product identity is
     (a, a-1)(a', a'-1) = (aa', aa'-1)."""
-    for p in primes:
-        _check_prime(p)
+    for p in _check_primes(primes):
         units = range(1, p) if p <= 13 else None
         rng = random.Random(11 + p)
         pairs = (itertools.product(units, units) if units is not None else
@@ -92,22 +103,28 @@ def gamma_closure_check(primes, sample_size=200):
     return True
 
 
+def _product_rows(ranges):
+    """One int64 row per element of the Cartesian product of `ranges`, in
+    `itertools.product` order (the last range varies fastest)."""
+    grids = np.meshgrid(*[np.asarray(r, dtype=np.int64) for r in ranges],
+                        indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, len(ranges))
+
+
 def _truncated_group(primes, m):
-    """All elements of the level-m truncation (additive support on the first
-    m coordinates, multiplicative part full length)."""
+    """All elements of the level-m truncation as rows (a | b): multiplicative
+    part full length, additive support on the first m coordinates."""
     units = [range(1, p) for p in primes]
     adds = [range(p) if i < m else range(1) for i, p in enumerate(primes)]
-    out = []
-    for a in itertools.product(*units):
-        for b in itertools.product(*adds):
-            out.append(AffineElement(tuple(primes), a, b))
-    return out
+    return _product_rows(units + adds)
 
 
 def _gamma_subgroup(primes, m):
-    """Diagonal-style elements inside the level-m truncation: a_n = 1 above m."""
+    """Diagonal-style elements (a | a - 1) inside the level-m truncation:
+    a_n = 1 above m."""
     choices = [range(1, p) if i < m else range(1, 2) for i, p in enumerate(primes)]
-    return [gamma_element(tuple(primes), a) for a in itertools.product(*choices)]
+    a = _product_rows(choices)
+    return np.hstack([a, (a - 1) % np.array(primes, dtype=np.int64)])
 
 
 def group_order(primes, m):
@@ -122,16 +139,18 @@ def group_order(primes, m):
 def indices(primes, m, enumeration_cap=200_000):
     """([G_m : G_{m-1}], [Gamma_m : Gamma_{m-1}]) by exact coset counting.
 
-    Falls back to the orbit-stabilizer order ratio above the enumeration cap
-    (the returned report says which route ran)."""
-    primes = tuple(primes)
+    Up to the enumeration cap both truncations are enumerated as row arrays
+    and their cosets counted one by one (`_count_cosets`); above it the
+    indices are the orbit-stabilizer order ratio (the returned report says
+    which route ran)."""
+    primes = _check_primes(primes)
     if m < 1 or m > len(primes):
         raise PreconditionError("need 1 <= m <= number of primes")
-    for p in primes:
-        _check_prime(p)
     if group_order(primes, m) <= enumeration_cap:
-        g_index = _count_cosets(_truncated_group(primes, m), _truncated_group(primes, m - 1))
-        gamma_index = _count_cosets(_gamma_subgroup(primes, m), _gamma_subgroup(primes, m - 1))
+        g_index = _count_cosets(primes, m, _truncated_group(primes, m),
+                                _truncated_group(primes, m - 1))
+        gamma_index = _count_cosets(primes, m, _gamma_subgroup(primes, m),
+                                    _gamma_subgroup(primes, m - 1))
         route = "coset-enumeration"
     else:
         g_index = group_order(primes, m) // group_order(primes, m - 1)
@@ -140,17 +159,44 @@ def indices(primes, m, enumeration_cap=200_000):
     return {"group_index": g_index, "gamma_index": gamma_index, "route": route}
 
 
-def _count_cosets(big, small):
-    reps = 0
-    covered = set()
-    for e in big:
-        if (e.a, e.b) in covered:
-            continue
+def _count_cosets(primes, m, big, small):
+    """Number of left cosets e * small that cover `big`, both row arrays
+    (a | b) of subsets of G_m.
+
+    Greedy, in `big`'s order: each element not yet covered starts a coset,
+    whose rows (a a' mod p, a b' + b mod p) over all of `small` are computed
+    at once and marked in a boolean array indexed by position in G_m's own
+    enumeration, `np.ravel_multi_index` of (a - 1, b_1..b_m) over the dims
+    (p - 1 for every p, then p_1..p_m).  Their product |G_m| is within the
+    enumeration cap, so a position fits in int64.  Entries are below p, and
+    p - 1 <= |G_m|, so every product a b' + b is below p^2 < 2^63: exact.
+    A product with b nonzero above level m lies outside G_m and raises.
+    """
+    k = len(primes)
+    ps = np.array(primes, dtype=np.int64)
+    dims = tuple(p - 1 for p in primes) + tuple(primes[:m])
+
+    def positions(rows):
+        if rows[:, k + m:].any():
+            raise PreconditionError("a coset product has b nonzero above level %d: "
+                                    "it lies outside G_%d" % (m, m))
+        return np.ravel_multi_index(tuple((rows[:, :k] - 1).T) + tuple(rows[:, k:k + m].T),
+                                    dims)
+
+    order = positions(big)
+    covered = np.zeros(math.prod(dims), dtype=bool)
+    small_a, small_b = small[:, :k], small[:, k:]
+    reps = start = 0
+    while True:
+        todo = np.flatnonzero(~covered[order[start:]])
+        if not todo.size:
+            return reps
+        rep = start + int(todo[0])
+        a, b = big[rep, :k], big[rep, k:]
+        coset = np.hstack([a * small_a % ps, (a * small_b + b) % ps])
+        covered[positions(coset)] = True
         reps += 1
-        for f in small:
-            prod = e * f
-            covered.add((prod.a, prod.b))
-    return reps
+        start = rep + 1
 
 
 def covolume_product(primes, m):
@@ -159,8 +205,7 @@ def covolume_product(primes, m):
     if m < 0 or m > len(primes):
         raise PreconditionError("need 0 <= m <= number of primes")
     out = Fraction(1)
-    for p in primes[:m]:
-        _check_prime(p)
+    for p in _check_primes(primes[:m]):
         out *= Fraction(p, p - 1)
     return out
 
@@ -168,7 +213,7 @@ def covolume_product(primes, m):
 def covolume_vs_counting(primes, m):
     """Cross-check: with the compact part normalized to measure one, the
     covolume equals |G_m| / (|compact| |Gamma_m|) exactly."""
-    primes = tuple(primes)
+    primes = _check_primes(primes)
     compact = math.prod(p - 1 for p in primes)
     gm = group_order(primes, m)
     gamma = math.prod(p - 1 for p in primes[:m])
@@ -193,7 +238,7 @@ def lattice_certificate(primes, m_max=None):
     series tail sum 1/(p_n - 1); a finite series value under 2 is the
     lattice-consistency verdict.
     """
-    primes = tuple(primes)
+    primes = _check_primes(primes)
     m_max = len(primes) if m_max is None else m_max
     series = sum(1.0 / (p - 1) for p in primes)
     seq = [covolume_product(primes, m) for m in range(m_max + 1)]

@@ -64,6 +64,7 @@ def test_default_reports_run_without_scipy(argv, capsys):
     ["count-presentations", "--v-list", "1,x"],
     ["chabauty", "--radius-list", "1,a"],
     ["solvable", "--primes", "5,x"],
+    ["solvable", "--primes", "1"],
     ["heisenberg", "--coords", "1,2"],
     ["heisenberg", "--coords", "1/0,1,1"],
     ["thickthin", "--preset", "octagon-genus2"],

@@ -1,5 +1,6 @@
-import math
 from fractions import Fraction
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,83 @@ def test_indices_match_formula_for_all_levels():
         rep = sol.indices(primes, m)
         assert rep["group_index"] == primes[m - 1]
         assert rep["gamma_index"] == primes[m - 1] - 1
+
+
+# The object-based reference: every element an AffineElement, listed in
+# itertools.product order, and each coset's products kept in a set.
+
+def _reference_group(primes, m):
+    units = [range(1, p) for p in primes]
+    adds = [range(p) if i < m else range(1) for i, p in enumerate(primes)]
+    return [sol.AffineElement(primes, a, b)
+            for a in itertools.product(*units) for b in itertools.product(*adds)]
+
+
+def _reference_gamma(primes, m):
+    choices = [range(1, p) if i < m else range(1, 2) for i, p in enumerate(primes)]
+    return [sol.gamma_element(primes, a) for a in itertools.product(*choices)]
+
+
+def _reference_cosets(big, small):
+    reps = 0
+    covered = set()
+    for e in big:
+        if (e.a, e.b) in covered:
+            continue
+        reps += 1
+        for f in small:
+            prod = e * f
+            covered.add((prod.a, prod.b))
+    return reps
+
+
+def _rows(elements):
+    return [e.a + e.b for e in elements]
+
+
+@pytest.mark.parametrize("primes", [(5, 7), (5, 7, 11), (7, 11, 5), (2, 3, 5), (13, 17, 2),
+                                    (3, 3, 5)])
+def test_indices_match_the_object_reference_at_every_level(primes):
+    for m in range(1, len(primes) + 1):
+        want = (_reference_cosets(_reference_group(primes, m), _reference_group(primes, m - 1)),
+                _reference_cosets(_reference_gamma(primes, m), _reference_gamma(primes, m - 1)))
+        rep = sol.indices(primes, m)
+        assert (rep["group_index"], rep["gamma_index"]) == want
+        assert rep["route"] == "coset-enumeration"
+
+
+@pytest.mark.parametrize("primes", [(5, 7), (2, 3, 5), (3, 3, 5)])
+def test_truncations_match_the_product_enumeration_row_for_row(primes):
+    for m in range(len(primes) + 1):
+        group = sol._truncated_group(primes, m)
+        gamma = sol._gamma_subgroup(primes, m)
+        assert group.dtype == gamma.dtype == np.int64
+        assert [tuple(r) for r in group.tolist()] == _rows(_reference_group(primes, m))
+        assert [tuple(r) for r in gamma.tolist()] == _rows(_reference_gamma(primes, m))
+
+
+def test_coset_product_outside_the_truncation_raises():
+    # Negative control: a `small` row with b nonzero above level m is not in
+    # G_m, so its products have no position in G_m's enumeration.
+    primes = (5, 7)
+    big = sol._truncated_group(primes, 1)
+    small = sol._truncated_group(primes, 0)
+    assert sol._count_cosets(primes, 1, big, small) == 5
+    small[3, 3] = 1                                     # b_2 = 1 above level 1
+    with pytest.raises(PreconditionError, match="outside G_1"):
+        sol._count_cosets(primes, 1, big, small)
+
+
+def test_indices_memory_is_bounded_by_the_row_arrays():
+    # |G_3| = 92400 rows of 6 int64; per-element objects and a set of
+    # product tuples peaked at 38 MB.
+    tracemalloc.start()
+    try:
+        assert sol.indices((5, 7, 11), 3)["group_index"] == 11
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_indices_orbit_stabilizer_route_above_cap():
