@@ -116,11 +116,13 @@ class MoebiusIsometry(mat2.Keyed):
         self.m = mat2.canonicalize_sign(m, exact)
 
     @classmethod
-    def from_canonical(cls, m):
-        """The float element with flat entries m, already of determinant one
-        and sign-canonical (as __init__ would leave them), taken as they are."""
+    def from_canonical(cls, m, exact):
+        """The element with flat entries m, already of determinant one and
+        sign-canonical (as __init__ would leave them), taken as they are:
+        floats, or Python ints when `exact` (the integer branch of the
+        `wordballs` array kernel, whose products stay below 2^62)."""
         g = object.__new__(cls)
-        g.m, g.exact = m, False
+        g.m, g.exact = m, exact
         return g
 
     # -- algebra ----------------------------------------------------------
@@ -315,10 +317,14 @@ def _finish_classification(g, kind):
     # Hyperbolic (loxodromic): translation length from the eigenvalue of
     # largest modulus, lam + 1/lam = tr.
     t = complex(g.trace())
-    s = cmath.sqrt(t * t - 4)
-    lam = (t + s) / 2
-    if abs(lam) < 1:
-        lam = (t - s) / 2
+    tt = t * t
+    if cmath.isfinite(tt):
+        s = cmath.sqrt(tt - 4)
+        lam = (t + s) / 2
+        if abs(lam) < 1:
+            lam = (t - s) / 2
+    else:    # |tr| beyond about 1.3e154: the larger root without squaring tr
+        lam = t / 2 * (1 + cmath.sqrt(1 - (2 / t) ** 2))
     length = 2.0 * math.log(abs(lam))
     axis = _order_axis(m, _boundary_fixed_points(m))
     return IsometryClass(kind=HYPERBOLIC, translation_length=length, axis=axis)

@@ -106,7 +106,7 @@ def normalize_det1(m, exact):
 
 def frobenius_dist_to_identity(m):
     a, b, c, d = m
-    return math.sqrt(abs(a - 1) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d - 1) ** 2)
+    return math.hypot(abs(a - 1), abs(b), abs(c), abs(d - 1))    # no overflow in squares
 
 
 def quantize(xs):

@@ -16,14 +16,17 @@ dropped by a reach (below) is never keyed, so it does not count.
 `_bfs` takes each layer's frontier `CHUNK` elements at a time.  A kernel
 turns a chunk into its candidates, the products by every step in (frontier,
 step) order, with their keys; one loop then dedups, tests and caps them.
-Real float Moebius groups use a numpy kernel (products, determinant
-normalization, sign choice and keys as arrays, bit for bit what the scalar
-path computes); every other group uses the scalar kernel, one product object
-per candidate, which keeps exact, complex, Euclidean and Lorentz arithmetic.
-Under a reach (an H^2 point and a radius), both kernels drop every product
-that displaces the point beyond the radius before keying it, computing the
-displacements as one array from the same float entries (`_within`), so they
-drop the same candidates.
+Real Moebius groups with all float, or all Python int, entries use a numpy
+kernel (products, sign choice and keys as arrays, bit for bit what the scalar
+path computes).  Its float branch also normalizes determinants; its integer
+branch (SL(2, Z) and its integer conjugates) works in int64, and a chunk
+whose products might reach 2^62 goes to the scalar kernel, where Python ints
+carry on exactly.  Every other group (Fraction, complex, Euclidean, Lorentz)
+uses the scalar kernel, one product object per candidate.  Under a reach (an
+H^2 point and a radius), both kernels drop every product that displaces the
+point beyond the radius before keying it, computing the displacements as one
+array from the same float entries (`_within`), so they drop the same
+candidates.
 """
 
 from dataclasses import dataclass
@@ -142,9 +145,10 @@ CHUNK = 256
 
 _KEY_ENTRIES = operator.methodcaller("key_entries")
 
-# Entries below _KEY_BOUND have cells of magnitude at most 2^53, exact in
-# float64 and, with their straddle neighbours, below _PACK_LIMIT; a chunk with
-# a larger entry goes to the scalar kernel.
+# Float entries below _KEY_BOUND have cells of magnitude at most 2^53, exact
+# in float64 and, with their straddle neighbours, below _PACK_LIMIT; a chunk
+# with a larger entry goes to the scalar kernel.  Integer chunks go there
+# when a product entry might reach _PACK_LIMIT.
 _KEY_BOUND = 2.0 ** 53 * mat2.GRID
 _PACK_LIMIT = 2 ** 62
 
@@ -194,15 +198,24 @@ def _scalar_kernel(steps, product, entries, reach):
     return (lambda x: mat2.quantize(entries(x))), candidates
 
 
-def _moebius_kernel(steps, reach):
-    """Kernel for real float Moebius steps: the chunk's products, their
-    determinant normalization and sign choice (in the float operations of
-    MoebiusIsometry.__init__), reach filter, keys and straddle alternates as
-    arrays.  Keys are packed (`_pack`).  A chunk with a candidate the scalar
-    path would reject, or with a cell beyond int64, goes to the scalar
-    kernel, which raises or keys it."""
+def _moebius_kernel(steps, reach, exact):
+    """Kernel for real Moebius steps, float or integer: the chunk's products,
+    sign choice (as `mat2.canonicalize_sign`), reach filter and packed keys
+    (`_pack`) as arrays.  Float products are normalized to determinant one
+    in the float operations of MoebiusIsometry.__init__ and also carry
+    straddle alternates; integer products of determinant-one steps have
+    determinant exactly one and no cells.  A float chunk with a candidate the
+    scalar path would reject, or with a cell beyond int64, goes to the
+    scalar kernel, which raises or keys it; so does an integer chunk whose
+    products might reach 2^62 (2 X Y >= _PACK_LIMIT for the largest chunk and
+    step entries X and Y), whose Python ints then carry on exactly."""
+    step_m = [s.m for _, s in steps]
+    y = max((abs(x) for m in step_m for x in m), default=0) if exact else 0
+    if 2 * y >= _PACK_LIMIT:    # every chunk would overflow
+        return _scalar_kernel(steps, operator.mul, _KEY_ENTRIES, reach)
     _, scalar = _scalar_kernel(steps, operator.mul, _KEY_ENTRIES, reach)
-    e, f, g, h = np.array([s.m for _, s in steps], dtype=float).reshape(-1, 4).T
+    dtype, tol = (np.int64, 0) if exact else (float, mat2.SIGN_TOL)
+    e, f, g, h = np.array(step_m, dtype=dtype).reshape(-1, 4).T
 
     def fallback(chunk):
         keys, element, alternates = scalar(chunk)
@@ -210,65 +223,86 @@ def _moebius_kernel(steps, reach):
                 lambda i, k: map(_pack, alternates(i, keys[i])))
 
     def candidates(chunk):
-        a, b, c, d = np.array([x.m for _, x in chunk]).T[:, :, None]
+        ms = [x.m for _, x in chunk]
+        if exact and 2 * max(map(abs, itertools.chain.from_iterable(ms))) * y >= _PACK_LIMIT:
+            return fallback(chunk)
+        a, b, c, d = np.array(ms, dtype=dtype).T[:, :, None]
         m = np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
                      axis=-1).reshape(-1, 4)
-        with np.errstate(all="ignore"):
-            det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
-            m = m * (1.0 / np.sqrt(det))[:, None]
+        if exact:
             big = np.abs(m)
-            ok = ((det >= mat2.SINGULAR)
-                  & (np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2] - 1) <= mat2.DET_DRIFT)
-                  & (big.max(axis=1) < _KEY_BOUND))
-        if not ok.all():
-            return fallback(chunk)
-        lead = big > mat2.SIGN_TOL
+        else:
+            with np.errstate(all="ignore"):
+                det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
+                m = m * (1.0 / np.sqrt(det))[:, None]
+                big = np.abs(m)
+                ok = ((det >= mat2.SINGULAR)
+                      & (np.abs(m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2] - 1) <= mat2.DET_DRIFT)
+                      & (big.max(axis=1) < _KEY_BOUND))
+            if not ok.all():
+                return fallback(chunk)
+        lead = big > tol
         first = m[np.arange(len(m)), lead.argmax(axis=1)]
         m = np.where((lead.any(axis=1) & ~(first > 0))[:, None], -m, m)
         if reach is not None:
-            within = _within(m, reach)
+            within = _within(m.astype(float), reach)
             m, big = m[within], big[within]
-        x = m / mat2.GRID
-        q = np.rint(x)
-        off = x - q
-        # The cell across the boundary from each entry within the straddle
-        # margin of one, as _cells chooses it.
-        turn = np.where((0.5 - np.abs(off)) <= _MARGIN * (1.0 + big), np.where(off > 0, 1, -1), 0)
-        q = q.astype(np.int64)
+        if exact:
+            q, alternates = m, lambda i, k: ()
+        else:
+            q, alternates = _straddle(m, big)
         packed = q.tobytes()
         keys = [packed[o:o + 32] for o in range(0, len(packed), 32)]
-        mask = (turn != 0) @ _BITS
-        near = np.flatnonzero(mask)
-        probe = (q[near, None, :] + _CORNERS * turn[near, None, :]).tobytes()
-        subs = [_SUBCORNERS[b] for b in mask[near].tolist()]
-        at = {i: (512 * j, subs[j]) for j, i in enumerate(near.tolist())}
         rows = m.tolist()
 
         def element(i):
-            return hyperbolic.MoebiusIsometry.from_canonical(tuple(rows[i]))
-
-        def alternates(i, k):
-            if i not in at:
-                return ()
-            o, offsets = at[i]
-            return [probe[o + c:o + c + 32] for c in offsets]
+            return hyperbolic.MoebiusIsometry.from_canonical(tuple(rows[i]), exact)
 
         return keys, element, alternates
 
     return (lambda x: _pack(mat2.quantize(x.m))), candidates
 
 
+def _straddle(m, big):
+    """(cells, alternates) of the float rows m with magnitudes big: the int64
+    cells of their entries, and alternates(i, k), the packed keys that row i
+    may round to across a cell boundary (as `_straddle_keys` finds them)."""
+    x = m / mat2.GRID
+    q = np.rint(x)
+    off = x - q
+    # The cell across the boundary from each entry within the straddle
+    # margin of one, as _cells chooses it.
+    turn = np.where((0.5 - np.abs(off)) <= _MARGIN * (1.0 + big), np.where(off > 0, 1, -1), 0)
+    q = q.astype(np.int64)
+    mask = (turn != 0) @ _BITS
+    near = np.flatnonzero(mask)
+    probe = (q[near, None, :] + _CORNERS * turn[near, None, :]).tobytes()
+    subs = [_SUBCORNERS[b] for b in mask[near].tolist()]
+    at = {i: (512 * j, subs[j]) for j, i in enumerate(near.tolist())}
+
+    def alternates(i, k):
+        if i not in at:
+            return ()
+        o, offsets = at[i]
+        return [probe[o + c:o + c + 32] for c in offsets]
+
+    return q, alternates
+
+
 def _kernel(start, steps, product, entries, reach):
-    """(key, candidates): the numpy kernel when start and steps are real
-    float Moebius isometries under the default product and entries, else the
-    scalar one.  key(x) keys one element; candidates(chunk) gives the keys
-    of the chunk's products in (frontier, step) order, less those a reach
-    drops (`_within`), the i-th of them as an element, and the alternates of
-    the i-th key for the straddle probe."""
-    if product is operator.mul and entries is _KEY_ENTRIES and all(
-            type(x) is hyperbolic.MoebiusIsometry and not x.exact and not x.is_complex
-            for x in [start] + [s for _, s in steps]):
-        return _moebius_kernel(steps, reach)
+    """(key, candidates): the array kernel when start and steps are real
+    Moebius isometries under the default product and entries, all float or
+    all exact with Python int entries (the integer branch, guarded at 2^62),
+    else the scalar one.  key(x) keys one element; candidates(chunk) gives
+    the keys of the chunk's products in (frontier, step) order, less those a
+    reach drops (`_within`), the i-th of them as an element, and the
+    alternates of the i-th key for the straddle probe."""
+    xs = [start] + [s for _, s in steps]
+    if (product is operator.mul and entries is _KEY_ENTRIES
+            and all(type(x) is hyperbolic.MoebiusIsometry for x in xs)):
+        kinds = {type(v) for x in xs for v in x.m}
+        if kinds in ({float}, {int}):
+            return _moebius_kernel(steps, reach, kinds == {int})
     return _scalar_kernel(steps, product, entries, reach)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -140,3 +141,11 @@ def test_default_octagon_presentation_runs_to_completion(capsys):
     result = json.loads(report(["presentation", "--preset", "octagon-genus2"], capsys))["result"]
     assert (result["abelianization_rank"], result["torsion"]) == (4, [])
     assert (result["net_size"], result["generators"], result["relators"]) == (30, 106, 143)
+
+
+def test_classify_a_hyperbolic_element_with_entries_near_the_float_limit(capsys):
+    # Squaring an entry or the trace of this element overflows a float.
+    result = json.loads(report(["classify", "--matrix", "[[1e300,0],[0,1e-300]]"],
+                               capsys))["result"]
+    assert result["class"] == "hyperbolic"
+    assert result["translation_length"] == pytest.approx(2 * math.log(1e300), rel=1e-12)

@@ -36,7 +36,8 @@ def test_word_ball_z2_counts_lattice_points():
 
 def independent_psl2z_ball(radius):
     """Hash-based enumeration oracle, separate from the BFS implementation:
-    multiply out all words over {S, T, T^-1} and deduplicate up to sign."""
+    the sign-canonical matrices of all words of length <= radius over
+    {S, S^-1, T, T^-1}."""
     s = (0, -1, 1, 0)
     t = (1, 1, 0, 1)
     ti = (1, -1, 0, 1)
@@ -50,7 +51,6 @@ def independent_psl2z_ball(radius):
             if x != 0:
                 return m if x > 0 else tuple(-v for v in m)
         return m
-    seen = {canon((1, 0, 1 - 1, 1))}
     seen = {canon((1, 0, 0, 1))}
     level = [(1, 0, 0, 1)]
     for _ in range(radius):
@@ -63,12 +63,14 @@ def independent_psl2z_ball(radius):
                     seen.add(k)
                     nxt.append(w)
         level = nxt
-    return len(seen)
+    return seen
 
 
 def test_word_ball_sl2z_matches_independent_enumeration(sl2z):
-    for radius in (1, 2, 3, 4, 5):
-        assert len(word_ball(sl2z, radius)) == independent_psl2z_ball(radius)
+    for radius in range(1, 13):
+        ball = {e.m for e in word_ball(sl2z, radius).elements}
+        assert ball == independent_psl2z_ball(radius)
+    assert len(ball) == 1968
 
 
 def test_word_ball_closed_under_inversion_and_dedup_idempotent(sl2z):

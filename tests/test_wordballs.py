@@ -145,8 +145,27 @@ def kernel_of(group):
                              wordballs._KEY_ENTRIES, None)
 
 
+def first_array_candidate(group):
+    """The first product the array kernel makes from the identity, or None
+    when the group takes the scalar kernel."""
+    _, candidates = kernel_of(group)
+    if not candidates.__qualname__.startswith("_moebius_kernel"):
+        return None
+    keys, element, _ = candidates([((), group.identity())])
+    assert all(type(k) is bytes for k in keys)
+    return element(0)
+
+
 def takes_numpy_kernel(group):
-    return kernel_of(group)[1].__qualname__.startswith("_moebius_kernel")
+    """The group's enumerations take the float branch of the array kernel."""
+    first = first_array_candidate(group)
+    return first is not None and not first.exact
+
+
+def takes_int_kernel(group):
+    """The group's enumerations take the integer branch of the array kernel."""
+    first = first_array_candidate(group)
+    return first is not None and first.exact
 
 
 def test_numpy_kernel_keys_are_quantize_keys_packed():
@@ -203,6 +222,70 @@ def test_numpy_kernel_matches_scalar_kernel(monkeypatch):
         assert_same_entries(got, run(group))
 
 
+def random_sl2z(rng, length):
+    """A seeded word of the given length in S T^k, 1 <= |k| <= 3."""
+    m = (1, 0, 0, 1)
+    for _ in range(length):
+        k = int(rng.integers(1, 4)) * int(rng.choice((-1, 1)))
+        m = mat2.mul(mat2.mul(m, (0, -1, 1, 0)), (1, k, 0, 1))
+    return MoebiusIsometry(m)
+
+
+def int_cases():
+    """(group, run) pairs over SL(2, Z) and its integer conjugates."""
+    sl2z = presets.sl2z()
+    rng = np.random.default_rng(1402)
+    cases = [(sl2z, lambda g: word_ball(g, 10).entries)]
+    for length in (2, 3, 4):
+        cases.append((sl2z.conjugated(random_sl2z(rng, length)),
+                      lambda g: word_ball(g, 8).entries))
+    for keep in (4, 6):
+        cases.append((sl2z, lambda g, k=keep: [
+            ((), e) for e in displacement_pruned_ball(g, HPoint(0.1, 1.7), k, slack=2)]))
+    return cases
+
+
+def test_int_kernel_matches_scalar_kernel(monkeypatch):
+    cases = int_cases()
+    assert all(takes_int_kernel(group) for group, _ in cases)
+    batched = [run(group) for group, run in cases]
+    for entries in batched:
+        assert all(e.exact and set(map(type, e.m)) == {int} for _, e in entries)
+    use_scalar_kernel(monkeypatch)
+    for (group, run), got in zip(cases, batched):
+        assert_same_entries(got, run(group))
+
+
+def test_int_kernel_carries_on_exactly_past_int64(monkeypatch):
+    # Entries of g^k are Fibonacci numbers, past 2^63 from k = 46 on.  The
+    # steps of the second group are past int64 already, so its chunks all
+    # take the scalar kernel.
+    g = MoebiusIsometry(((2, 1), (1, 1)))
+    assert takes_int_kernel(FinitelyGeneratedGroup([g]))
+    for gen, radius in ((g, 50), (MoebiusIsometry(((1, 2 ** 70), (0, 1))), 3)):
+        group = FinitelyGeneratedGroup([gen])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ball = word_ball(group, radius)
+        pos, neg = [(1, 0, 0, 1)], [(1, 0, 0, 1)]
+        for _ in range(radius):
+            pos.append(mat2.mul(pos[-1], gen.m))
+            neg.append(mat2.mul(neg[-1], gen.inverse().m))
+        powers = pos[:1] + [m for pair in zip(pos[1:], neg[1:]) for m in pair]
+        assert [e.m for e in ball.elements] == [mat2.canonicalize_sign(m, True) for m in powers]
+        with monkeypatch.context() as patch:
+            use_scalar_kernel(patch)
+            assert_same_entries(ball.entries, word_ball(group, radius).entries)
+
+
+def test_fraction_groups_take_the_scalar_kernel():
+    t = MoebiusIsometry(((1, 1), (0, 1)))
+    for gen in (MoebiusIsometry(((1, Fraction(1, 2)), (0, 1))),
+                MoebiusIsometry(((2, 0), (0, Fraction(1, 2))))):
+        group = FinitelyGeneratedGroup([t, gen])
+        assert first_array_candidate(group) is None
+
+
 def cap_error(run):
     with pytest.raises(CapExceededError) as info:
         run()
@@ -211,8 +294,11 @@ def cap_error(run):
 
 def test_numpy_kernel_trips_the_cap_where_the_scalar_kernel_does(monkeypatch):
     octagon, base = presets.octagon_genus2(), presets.octagon_center()
+    sl2z = presets.sl2z()
     runs = [lambda: word_ball(octagon, 4, cap=500),
-            lambda: displacement_pruned_ball(octagon, base, 4.5, slack=4.5, cap=300)]
+            lambda: displacement_pruned_ball(octagon, base, 4.5, slack=4.5, cap=300),
+            lambda: word_ball(sl2z, 12, cap=500),
+            lambda: displacement_pruned_ball(sl2z, HPoint(0.1, 1.7), 6, slack=2, cap=500)]
     batched = [cap_error(run) for run in runs]
     use_scalar_kernel(monkeypatch)
     for run, (message, entries) in zip(runs, batched):
