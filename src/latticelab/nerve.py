@@ -7,14 +7,16 @@ length at most 3 (tree edges read as the empty letter).  Abelianization via
 integer normal form is the verification oracle downstream.
 
 Metric contexts make the same construction run on the flat torus and on
-closed hyperbolic surfaces presented as quotients.  Both measure distance and
-minimax radius through nearest lifts (on the torus y + round(x - y), on a
-surface the nearest of a precomputed set of deck translates).  H^2 triangles
-are solved in the hyperboloid model with the helpers of `hyperboloid`.
+closed hyperbolic surfaces presented as quotients.  Each exposes
+`distances(x, ys)`, the array of distances from x to every point of ys, and
+the minimax radius of three points, both through nearest lifts (on the torus
+y + round(x - y), on a surface the nearest of a precomputed set of deck
+translates).  H^2 triangles are solved in the hyperboloid model with the
+helpers of `hyperboloid`.
 """
 
 from dataclasses import dataclass
-from math import ceil, comb, cosh, log, pi
+from math import ceil, comb, cosh, gcd, log, pi
 
 import numpy as np
 
@@ -73,15 +75,15 @@ class TorusMetric:
     """Flat torus R^n / Z^n (unit periods), measured through nearest lifts.
 
     The lift of y nearest to x is y + round(x - y), because the Voronoi cell
-    of Z^n is the unit cube, so `distance` is exact at every scale.  A
+    of Z^n is the unit cube, so `distances` is exact at every scale.  A
     minimax radius below 1/4 is exact too: lifts that fit in a ball of
     radius r < 1/4 lie within 1/2 of x, hence are the nearest ones.  Above
     1/4 the value is only an upper bound, so nerves need r <= 1/4.
     """
 
-    def distance(self, x, y):
-        d = np.asarray(x, float) - np.asarray(y, float)
-        return float(np.linalg.norm(d - np.round(d), axis=-1))
+    def distances(self, x, ys):
+        d = np.asarray(x, float) - np.asarray(ys, float)
+        return np.linalg.norm(d - np.round(d), axis=-1)
 
     def nearest_lift(self, x, y):
         y = np.asarray(y, float)
@@ -109,19 +111,19 @@ class SurfaceMetric:
         self.deck = displacement_pruned_ball(group, base, keep, slack=slack)
         self._abcd = stack_moebius(self.deck)
 
-    def _lifts(self, x, y):
-        """Deck translates of y and their distances to x."""
-        ts = moebius_apply_h2(self._abcd, y.z)
-        return ts, distances_h2(x.z, ts)
+    def _lifts(self, ys):
+        """Deck translates of the points ys: one row per point, one column
+        per deck transformation."""
+        return moebius_apply_h2(self._abcd, np.array([y.z for y in ys])[:, None])
 
-    def distance(self, x, y):
-        return float(np.min(self._lifts(x, y)[1]))
+    def distances(self, x, ys):
+        return distances_h2(x.z, self._lifts(ys)).min(axis=1)
 
     def nearest_lift(self, x, y):
         """The deck translate of y nearest to x (unique when the relevant
         distances stay below half the systole)."""
-        ts, ds = self._lifts(x, y)
-        return HPoint(complex(ts[int(np.argmin(ds))]))
+        ts = self._lifts([y])[0]
+        return HPoint(complex(ts[int(np.argmin(distances_h2(x.z, ts)))]))
 
     def minimax_radius(self, x, y, z):
         return _h2_minimax([x, self.nearest_lift(x, y), self.nearest_lift(x, z)])
@@ -151,7 +153,7 @@ def build_eps_net(points, eps, metric):
         raise PreconditionError("epsilon must be positive, got %g" % eps)
     centers = []
     for p in points:
-        if all(metric.distance(p, c) >= eps for c in centers):
+        if not centers or metric.distances(p, centers).min() >= eps:
             centers.append(p)
             if len(centers) > _NET_CAP:
                 raise CapExceededError("eps-net exceeded %d centers" % _NET_CAP)
@@ -182,12 +184,12 @@ def nerve(net, r, metric):
     n = len(cs)
     edges = []
     adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if metric.distance(cs[i], cs[j]) < 2.0 * r:
-                edges.append((i, j))
-                adj[i].add(j)
-                adj[j].add(i)
+    for i in range(n - 1):
+        near = np.flatnonzero(metric.distances(cs[i], cs[i + 1:]) < 2.0 * r) + i + 1
+        for j in near.tolist():
+            edges.append((i, j))
+            adj[i].add(j)
+            adj[j].add(i)
     triangles = []
     for i in range(n):
         for j in sorted(adj[i]):
@@ -216,7 +218,7 @@ class Presentation:
         return max((len(r) for r in self.relators), default=0)
 
 
-def presentation_from_nerve(complex_, edge_order=None):
+def presentation_from_nerve(complex_):
     """Fundamental-group presentation of the 2-skeleton.
 
     Spanning-tree edges carry the empty letter; each remaining edge is a
@@ -224,11 +226,8 @@ def presentation_from_nerve(complex_, edge_order=None):
     length at most 3 and the generator count is E - V + 1.
     """
     n = complex_.vertex_count
-    edges = list(complex_.edges)
-    if edge_order is not None:
-        edges = [edges[i] for i in edge_order]
     adj = {}
-    for (i, j) in edges:
+    for (i, j) in complex_.edges:
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
     seen = {0} if n else set()
@@ -271,75 +270,44 @@ def presentation_from_nerve(complex_, edge_order=None):
 # -- abelianization via integer normal form ---------------------------------------
 
 def smith_normal_form(matrix):
-    """Diagonal divisors d_1 | d_2 | ... of an integer matrix.
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, as
+    Python ints.
 
-    Runs on int64 until entries threaten the word size, then escalates to
-    exact python integers; smallest-magnitude pivoting keeps that rare.
+    Exact elimination over sparse rows {column: int}.  The pivot is an entry
+    of least magnitude.  Row operations clear its column; once the column is
+    clear, column operations clear its row and touch the pivot row alone.  A
+    nonzero remainder is smaller than the pivot and becomes the next pivot,
+    so the loop ends.  Pairwise gcd/lcm turns the diagonal into the chain.
     """
-    rows = [list(map(int, row)) for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0 or n == 0:
-        return []
-    if max((abs(x) for row in rows for x in row), default=0) < 2**31:
-        a = np.array(rows, dtype=np.int64)
-    else:
-        a = np.array(rows, dtype=object)
-
-    def submatrix_nonzero(t):
-        sub = a[t:, t:]
-        idx = np.argwhere(sub != 0)
-        return idx + t if idx.size else None
-
-    t = 0
-    size = min(m, n)
-    while t < size:
-        if a.dtype != object and int(np.abs(a).max()) > 2**31:
-            a = a.astype(object)
-        idx = submatrix_nonzero(t)
-        if idx is None:
-            break
-        # Smallest magnitude pivot keeps the arithmetic small.
-        best = min(idx.tolist(), key=lambda ij: abs(a[ij[0], ij[1]]))
-        i, j = best
-        a[[t, i], :] = a[[i, t], :]
-        a[:, [t, j]] = a[:, [j, t]]
-        while True:
-            if a.dtype != object and int(np.abs(a).max()) > 2**31:
-                a = a.astype(object)
-            pivot = a[t, t]
-            if pivot < 0:
-                a[t, :] = -a[t, :]
-                pivot = -pivot
-            col = a[t + 1:, t]
-            row = a[t, t + 1:]
-            if np.any(col != 0):
-                q = col // pivot
-                a[t + 1:, :] -= np.outer(q, a[t, :])
-                rem = a[t + 1:, t]
-                if np.any(rem != 0):
-                    i2 = t + 1 + int(np.argmax(rem != 0))
-                    a[[t, i2], :] = a[[i2, t], :]
-                    continue
-            if np.any(row != 0):
-                q = row // pivot
-                a[:, t + 1:] -= np.outer(a[:, t], q)
-                rem = a[t, t + 1:]
-                if np.any(rem != 0):
-                    j2 = t + 1 + int(np.argmax(rem != 0))
-                    a[:, [t, j2]] = a[:, [j2, t]]
-                    continue
-            # Pivot must divide the rest of the submatrix.
-            sub = a[t + 1:, t + 1:]
-            bad = np.argwhere(sub % pivot != 0) if sub.size else np.empty((0, 2), int)
-            if bad.size:
-                i3 = t + 1 + int(bad[0][0])
-                a[t, :] += a[i3, :]
-                continue
-            break
-        t += 1
-    divisors = [int(abs(a[i, i])) for i in range(size)]
-    return [d for d in divisors if d != 0]
+    rows = [r for r in ({j: int(x) for j, x in enumerate(row) if x} for row in matrix) if r]
+    diagonal = []
+    while rows:
+        top, j = min(((r, j) for r in rows for j in r), key=lambda rj: abs(rj[0][rj[1]]))
+        p = top[j]
+        for r in rows:
+            if r is not top and j in r:
+                q = r[j] // p
+                for k, y in top.items():
+                    v = r.get(k, 0) - q * y
+                    if v:
+                        r[k] = v
+                    else:
+                        r.pop(k, None)
+        rows = [r for r in rows if r]
+        if any(j in r for r in rows if r is not top):
+            continue
+        for k in [k for k in top if k != j]:
+            top[k] %= p
+            if not top[k]:
+                del top[k]
+        if len(top) == 1:
+            diagonal.append(abs(p))
+            rows = [r for r in rows if r is not top]
+    for i in range(len(diagonal)):
+        for k in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[k])
+            diagonal[i], diagonal[k] = g, diagonal[i] * diagonal[k] // g
+    return diagonal
 
 
 def abelianization(presentation):
@@ -352,8 +320,6 @@ def abelianization(presentation):
         for letter in rel:
             row[abs(letter) - 1] += 1 if letter > 0 else -1
         rows.append(row)
-    if not rows or g == 0:
-        return g, []
     divisors = smith_normal_form(rows)
     rank = g - len(divisors)
     torsion = [d for d in divisors if d > 1]

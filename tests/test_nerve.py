@@ -1,20 +1,22 @@
+import dataclasses
 import itertools
 import math
+import random
 from math import comb
 
 from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from latticelab import cli, nerve, presets
+from latticelab import cli, hyperbolic, nerve, presets
 from latticelab.errors import PreconditionError
 
 
 class EuclideanMetric:
     """The plane R^2 with points as arrays."""
 
-    def distance(self, x, y):
-        return float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
+    def distances(self, x, ys):
+        return np.linalg.norm(np.asarray(x, float) - np.asarray(ys, float), axis=-1)
 
     def minimax_radius(self, x, y, z):
         return nerve._euclid_minimax([x, y, z])
@@ -31,9 +33,9 @@ def test_torus_net_at_coarse_scale_packing_bounds():
     assert 2 <= len(net.centers) <= 4
     # Exhaustive grid check of separation and covering on a fine grid.
     for c1, c2 in itertools.combinations(net.centers, 2):
-        assert metric.distance(c1, c2) >= 0.6
+        assert metric.distances(c1, [c2])[0] >= 0.6
     grid = [np.array([i / 40, j / 40]) for i in range(40) for j in range(40)]
-    worst = max(min(metric.distance(g, c) for c in net.centers) for g in grid)
+    worst = max(metric.distances(g, net.centers).min() for g in grid)
     assert worst <= 0.6 + 0.05   # cover up to one grid cell of slack
 
 
@@ -49,10 +51,10 @@ def test_net_separation_exact_on_stream():
     pts = presets.sample_torus(500)
     net = nerve.build_eps_net(pts, 0.25, metric)
     for c1, c2 in itertools.combinations(net.centers, 2):
-        assert metric.distance(c1, c2) >= 0.25
+        assert metric.distances(c1, [c2])[0] >= 0.25
     # Maximality on the stream: every sample is within eps of some center.
     for p in pts:
-        assert min(metric.distance(p, c) for c in net.centers) < 0.25
+        assert metric.distances(p, net.centers).min() < 0.25
 
 
 def test_octagon_thick_part_net_respects_packing_bound(octagon_surface):
@@ -64,6 +66,47 @@ def test_octagon_thick_part_net_respects_packing_bound(octagon_surface):
     # hyperbolic disk area 2 pi (cosh(eps/2) - 1).
     bound = 4 * math.pi / (2 * math.pi * (math.cosh(eps / 2) - 1))
     assert len(net.centers) <= bound
+
+
+def _reference_net(points, eps, metric):
+    """Greedy eps-net measured one (point, center) pair at a time."""
+    centers = []
+    for p in points:
+        if all(metric.distances(p, [c])[0] >= eps for c in centers):
+            centers.append(p)
+    return centers
+
+
+def _reference_edges(centers, r, metric):
+    """Nerve edges measured one pair at a time, in lexicographic order."""
+    n = len(centers)
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if metric.distances(centers[i], [centers[j]])[0] < 2.0 * r]
+
+
+@pytest.mark.parametrize("surface", [False, True], ids=["torus", "octagon"])
+def test_net_and_edges_match_the_per_pair_reference(surface, request):
+    if surface:
+        metric = request.getfixturevalue("octagon_surface")[1]
+        pts, eps = presets.default_region("octagon-genus2", 500), 0.5
+    else:
+        metric = nerve.TorusMetric()
+        pts, eps = presets.sample_torus(1500), 0.2
+    net = nerve.build_eps_net(pts, eps, metric)
+    reference = _reference_net(pts, eps, metric)
+    assert len(net.centers) == len(reference) > 3
+    assert all(c is q for c, q in zip(net.centers, reference))
+    r = 1.1 * eps
+    assert nerve.nerve(net, r, metric).edges == _reference_edges(reference, r, metric)
+
+
+def test_surface_distances_match_the_nearest_deck_translate(octagon_surface):
+    _, metric = octagon_surface
+    pts = presets.default_region("octagon-genus2", 48)
+    xs, ys = pts[:8], pts[8:]
+    for x in xs:
+        expected = [min(hyperbolic.distance(x, g.apply(y)) for g in metric.deck) for y in ys]
+        assert np.allclose(metric.distances(x, ys), expected, rtol=0, atol=1e-12)
 
 
 # -- nerve construction ----------------------------------------------------------
@@ -115,7 +158,10 @@ torus_point = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(np.array)
 @given(torus_point, torus_point, torus_point)
 def test_torus_nearest_lifts_match_the_lift_shell(x, y, z):
     metric = nerve.TorusMetric()
-    assert metric.distance(x, y) == np.min(np.linalg.norm(x - y + LIFT_SHELL, axis=1))
+    assert metric.distances(x, [y])[0] == np.min(np.linalg.norm(x - y + LIFT_SHELL, axis=1))
+    ys = np.array([y, z])
+    assert metric.distances(x, ys).tolist() == [
+        np.min(np.linalg.norm(x - w + LIFT_SHELL, axis=1)) for w in ys]
     shell = min(nerve._euclid_minimax([x, y + u, z + v]) for u in LIFT_SHELL for v in LIFT_SHELL)
     r = metric.minimax_radius(x, y, z)
     assert r >= shell
@@ -205,8 +251,9 @@ def test_presentation_invariant_under_spanning_tree_choice():
     rng = np.random.default_rng(20)
     results = set()
     for _ in range(10):
-        order = rng.permutation(len(cx.edges)).tolist()
-        pres = nerve.presentation_from_nerve(cx, edge_order=order)
+        order = rng.permutation(len(cx.edges))
+        shuffled = dataclasses.replace(cx, edges=[cx.edges[i] for i in order])
+        pres = nerve.presentation_from_nerve(shuffled)
         rank, torsion = nerve.abelianization(pres)
         results.add((rank, tuple(torsion), pres.generator_count))
     assert len(results) == 1
@@ -258,6 +305,55 @@ def test_smith_normal_form_divisibility_chain_random():
             assert b % a == 0
         # Rank agrees with the float rank.
         assert len(divisors) == np.linalg.matrix_rank(m.astype(float))
+
+
+def _leibniz_det(m):
+    """Exact integer determinant as the signed sum over permutations."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def _determinantal_divisors(m):
+    """Invariant factors d_k = D_k / D_(k-1), where D_k = d_1 ... d_k is the
+    gcd of the k x k minors; they stop at the rank, where D_k turns 0."""
+    rows, cols = len(m), len(m[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                dk = math.gcd(dk, _leibniz_det([[m[r][c] for c in cs] for r in rs]))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
+def test_smith_normal_form_matches_determinantal_divisors():
+    rng = random.Random(22)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice([3, 12, 10**12])
+        m = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        divisors = nerve.smith_normal_form(m)
+        assert divisors == _determinantal_divisors(m)
+        assert all(type(d) is int for d in divisors)
+    big = [[10**20, 3], [7, 10**19]]
+    assert nerve.smith_normal_form(big) == _determinantal_divisors(big) == [1, 10**39 - 21]
 
 
 # -- counting -----------------------------------------------------------------------
