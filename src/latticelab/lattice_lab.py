@@ -17,14 +17,17 @@ import numpy as np
 from . import hyperbolic, mat2
 from .errors import DomainError, PreconditionError
 from .hyperbolic import HYPERBOLIC, PARABOLIC, HPoint
-from .wordballs import displacements_at, stack_moebius, word_ball
+from .wordballs import (displacements_at, displacements_h2, displacements_h3,
+                        stack_moebius, word_ball)
+
+BLOCK_ENTRIES = 2 ** 15
 
 
 class BallGeometry:
     """A word ball with the precomputation the scan-style experiments share:
-    batched displacements, each element's class (computed on first use, at
-    most once), the translation lengths, and the short-element component
-    rule of the thick-thin decomposition and the Margulis lemma."""
+    batched displacements in blocks, each element's class (computed on first
+    use, at most once), the translation lengths, and the short-element
+    component rule of the thick-thin decomposition and the Margulis lemma."""
 
     def __init__(self, group, radius):
         self.radius = radius
@@ -51,9 +54,27 @@ class BallGeometry:
     def translation_lengths(self):
         return np.array([self.classify(i).translation_length for i in range(len(self))])
 
+    def displacement_blocks(self, coords, columns=slice(None)):
+        """(start, block) pairs, blocks of at most BLOCK_ENTRIES entries or one
+        row, over P rows of HPoint coordinates: block[k, j] is the displacement
+        of element columns[j] (default: all) at row start + k, bit-equal to
+        `displacements_at`."""
+        coords = np.asarray(coords, dtype=float)
+        stacked = tuple(s[columns] for s in self.stacked)
+        rows = max(1, BLOCK_ENTRIES // max(1, len(stacked[0])))
+        for start in range(0, len(coords), rows):
+            block = coords[start:start + rows]
+            z = np.ascontiguousarray(block[:, :2]).view(complex)
+            if block.shape[1] == 2:
+                yield start, displacements_h2(stacked, z)
+            else:
+                yield start, displacements_h3(stacked, z, block[:, 2:])
+
     def displacements(self, point):
-        stacked = self.stacked if isinstance(point, HPoint) else None
-        return displacements_at(self.elements, point, stacked)
+        """Every element's displacement at an HPoint or a Euclidean array."""
+        if isinstance(point, HPoint):
+            return next(self.displacement_blocks([point.coords]))[1][0]
+        return displacements_at(self.elements, point)
 
     def components(self, indices, groups):
         """The component of each element in `indices`, as an index into
@@ -163,6 +184,8 @@ def thick_thin_scan(group, epsilon, samples, radius):
     components (only torsion-free groups have a pure tube/cusp thin part).
     A sample whose witnesses straddle two different groups is reported
     unresolved ("increase the ball radius").
+    Only the short entries of each displacement block are kept, and only
+    samples with a short element are walked.
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % epsilon)
@@ -172,20 +195,21 @@ def thick_thin_scan(group, epsilon, samples, radius):
     groups = []                     # (kind, identifying data) per component
     witnesses = defaultdict(set)    # component -> indices of its short elements
     held = defaultdict(list)        # component -> samples inside it
-    thick, unresolved = [], []
-
-    for p in samples:
-        short = np.nonzero(bg.displacements(p) < epsilon)[0].tolist()
-        if not short:
-            thick.append(p)
-            continue
+    unresolved = []
+    shorts = defaultdict(list)      # sample index -> indices of its short elements
+    for start, disp in bg.displacement_blocks([p.coords for p in samples]):
+        rows, cols = np.nonzero(disp < epsilon)
+        for k, i in zip((rows + start).tolist(), cols.tolist()):
+            shorts[k].append(i)
+    thick = [p for k, p in enumerate(samples) if k not in shorts]
+    for k, short in shorts.items():
         ids = bg.components(short, groups)
         for cid, i in zip(ids, short):
             witnesses[cid].add(i)
         if len(set(ids)) > 1:
-            unresolved.append(p)
+            unresolved.append(samples[k])
         else:
-            held[ids[0]].append(p)
+            held[ids[0]].append(samples[k])
 
     thin_components, cone_components = [], []
     for cid, (kind, data) in enumerate(groups):
@@ -226,47 +250,66 @@ def standard_bump(epsilon):
     return f
 
 
-def _psi(bg, x, epsilon, bump):
-    """The displacement Morse function at x: the sum of f(d_gamma(x) -
-    |gamma|) over the ball's nontrivial elements with |gamma| <= epsilon, f
-    the bump (default `standard_bump`).
-
-    Raises DomainError when x sits on the min-set of a semisimple element
-    (where the summand's argument degenerates to 0, up to 1e-9); parabolic
-    elements have empty min-sets and may contribute arbitrarily large
-    summands instead.
-    """
+def _psi_rows(bg, coords, epsilon, bump):
+    """The displacement Morse function at each row x of HPoint coordinates:
+    the sum of f(d_gamma(x) - |gamma|) over the ball's nontrivial elements
+    with |gamma| <= epsilon, f the bump (default `standard_bump`), which must
+    vanish on [epsilon, infinity): only arguments up to max(epsilon, 1e-9)
+    reach it, in column order.  Returns (values, None), or, when a row lies
+    on the min-set of a semisimple element (an argument within 1e-9 of 0),
+    the values of the rows before the first such row and its DomainError.
+    Parabolic elements have empty min-sets and may give arbitrarily large
+    summands instead."""
     f = bump or standard_bump(epsilon)
-    lengths = bg.translation_lengths
-    disp = bg.displacements(x)
-    value = 0.0
-    for i in np.flatnonzero(lengths <= epsilon).tolist():
-        t = float(disp[i] - lengths[i])
-        if t <= 1e-9 and bg.classify(i).attained:
-            raise DomainError(
-                "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
-        value += f(t)
-    return value
+    short = np.flatnonzero(bg.translation_lengths <= epsilon).tolist()
+    values = []
+    for _, disp in bg.displacement_blocks(coords, short):
+        t = disp - bg.translation_lengths[short]
+        rows, cols = np.nonzero(t <= max(epsilon, 1e-9))
+        block = [0.0] * len(t)
+        for r, c, tc in zip(rows.tolist(), cols.tolist(), t[rows, cols].tolist()):
+            i = short[c]
+            if tc <= 1e-9 and bg.classify(i).attained:
+                return values + block[:r], DomainError(
+                    "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
+            block[r] += f(tc)
+        values += block
+    return values, None
 
 
-def _shift_point(x, delta):
-    return HPoint(*(c + d for c, d in zip(x.coords, delta)))
+def _psi(bg, x, epsilon, bump):
+    """`_psi_rows` at the HPoint x, raising its DomainError."""
+    values, error = _psi_rows(bg, [x.coords], epsilon, bump)
+    if error:
+        raise error
+    return values[0]
+
+
+def _stencil(coords, h):
+    """The (P, 2 dim, dim) central-difference points +h e_0, -h e_0, +h e_1,
+    ... around P rows of coordinates, for 0 < h < every row's height."""
+    if not h > 0:
+        raise PreconditionError("finite-difference step must be positive, got %g" % h)
+    if len(coords) and coords[:, -1].min() <= h:
+        raise PreconditionError("finite-difference step %g is not below the lowest sample %r; "
+                                "lower --step" % (h, HPoint(*min(coords, key=lambda c: c[-1]))))
+    eye = h * np.eye(coords.shape[1])
+    return coords[:, None, :] + np.stack([eye, 0.0 - eye], axis=1).reshape(-1, len(eye))
+
+
+def _gradients(bg, stencil, epsilon, h, bump):
+    """The gradient at each point of a `_stencil`, raising `_psi_rows`'s error."""
+    p, _, dim = stencil.shape
+    values, error = _psi_rows(bg, stencil.reshape(-1, dim), epsilon, bump)
+    if error:
+        raise error
+    v = np.array(values).reshape(p, dim, 2)
+    return (v[..., 0] - v[..., 1]) / (2.0 * h)
 
 
 def _psi_gradient(bg, x, epsilon, h, bump):
     """Central-difference gradient of the displacement Morse function."""
-    if h <= 0:
-        raise PreconditionError("finite-difference step must be positive")
-    dim = len(x.coords)
-    grad = np.zeros(dim)
-    for i in range(dim):
-        delta = [0.0] * dim
-        delta[i] = h
-        up = _psi(bg, _shift_point(x, delta), epsilon, bump)
-        delta[i] = -h
-        dn = _psi(bg, _shift_point(x, delta), epsilon, bump)
-        grad[i] = (up - dn) / (2.0 * h)
-    return grad
+    return _gradients(bg, _stencil(np.array([x.coords]), h), epsilon, h, bump)[0]
 
 
 @dataclass
@@ -281,24 +324,25 @@ def gradient_lemma_check(group, epsilon, samples, radius, h, bump=None):
     where the function does: (psi <= tol and |grad| <= grad_tol) or
     (psi > tol and |grad| > grad_tol), with tol = 1e-9 and grad_tol = 1e-6.
     Samples with psi in (tol, 2 tol] are borderline: excluded and counted.
-    One word ball serves every psi evaluation."""
+    The central-difference step h must be positive and below every
+    sample's height (checked up front).  One word ball serves two batches of
+    psi: the samples, then the stencils of those not borderline.  The
+    DomainError raised is the first met sample by sample, stencils after."""
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % epsilon)
     tol, grad_tol = 1e-9, 1e-6
+    coords = np.array([p.coords for p in samples] or np.empty((0, 2)))
+    stencil = _stencil(coords, h)
     bg = BallGeometry(group, radius)
-    violations, borderline, checked = [], 0, 0
-    for p in samples:
-        value = _psi(bg, p, epsilon, bump)
-        if tol < value <= 2.0 * tol:
-            borderline += 1
-            continue
-        g = float(np.linalg.norm(_psi_gradient(bg, p, epsilon, h, bump)))
-        checked += 1
-        small_psi = value <= tol
-        small_grad = g <= grad_tol
-        if small_psi != small_grad:
-            violations.append((p, value, g))
-    return GradientLemmaResult(violations=violations, borderline=borderline, checked=checked)
+    values, error = _psi_rows(bg, coords, epsilon, bump)
+    keep = [k for k, value in enumerate(values) if not tol < value <= 2.0 * tol]
+    norms = [float(np.linalg.norm(g)) for g in _gradients(bg, stencil[keep], epsilon, h, bump)]
+    if error:
+        raise error
+    violations = [(samples[k], values[k], g) for k, g in zip(keep, norms)
+                  if (values[k] <= tol) != (g <= grad_tol)]
+    return GradientLemmaResult(violations=violations, borderline=len(values) - len(keep),
+                               checked=len(keep))
 
 
 # -- hyperbolic covolumes ----------------------------------------------------

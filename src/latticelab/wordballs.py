@@ -409,14 +409,14 @@ def distances_h2(z, w):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-def displacements_h2(stacked, point):
-    """Vector of displacements of stacked real Moebius elements at an H^2 point."""
-    return distances_h2(point.z, moebius_apply_h2(stacked, point.z))
+def displacements_h2(stacked, z):
+    """Displacements of stacked real Moebius elements at H^2 points z, one or (P, 1)."""
+    return distances_h2(z, moebius_apply_h2(stacked, z))
 
 
-def displacements_h3(stacked, point):
+def displacements_h3(stacked, z, t):
+    """Displacements at the H^3 point (z, t), or at (P, 1) columns z and t."""
     a, b, c, d = stacked
-    z, t = point.z, point.t
     den = np.abs(c * z + d) ** 2 + np.abs(c) ** 2 * t * t
     w = ((a * z + b) * np.conj(c * z + d) + a * np.conj(c) * t * t) / den
     tt = t / den
@@ -425,14 +425,13 @@ def displacements_h3(stacked, point):
     return np.arccosh(np.maximum(arg, 1.0))
 
 
-def displacements_at(elements, point, stacked=None):
-    """Displacement of every element at the given point (H^2/H^3/Euclidean);
-    `stacked`, when given, is stack_moebius(elements) computed earlier."""
+def displacements_at(elements, point):
+    """Displacement of every element at the given point (H^2/H^3/Euclidean)."""
     if isinstance(point, hyperbolic.HPoint):
-        stacked = stack_moebius(elements) if stacked is None else stacked
+        stacked = stack_moebius(elements)
         if point.dim == 2:
-            return displacements_h2(stacked, point)
-        return displacements_h3(stacked, point)
+            return displacements_h2(stacked, point.z)
+        return displacements_h3(stacked, point.z, point.t)
     x = np.asarray(point, dtype=float)
     return np.array([e.displacement(x) for e in elements])
 

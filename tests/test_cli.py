@@ -82,6 +82,9 @@ def test_default_reports_run_without_scipy(argv, capsys):
     ["thickthin", "--epsilon", "0"],
     ["thickthin", "--epsilon", "-1"],
     ["psi-check", "--epsilon", "0"],
+    ["psi-check", "--step", "0.6"],
+    ["psi-check", "--step", "1"],
+    ["psi-check", "--samples", "1", "--step", "0.5"],
     ["zassenhaus", "--epsilon", "0"],
     ["recurrence", "--epsilon", "-0.1"],
     ["zassenhaus", "--pairs", "0"],

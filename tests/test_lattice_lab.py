@@ -1,6 +1,7 @@
 from collections import Counter
 import math
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from latticelab import lattice_lab as lab
 from latticelab import hyperbolic, presets, smallness
 from latticelab.errors import DomainError, PreconditionError
 from latticelab.hyperbolic import HPoint, MoebiusIsometry, displacement
-from latticelab.wordballs import FinitelyGeneratedGroup, word_ball
+from latticelab.wordballs import FinitelyGeneratedGroup, displacements_at, word_ball
 
 
 # -- word balls ---------------------------------------------------------------
@@ -165,6 +166,27 @@ def test_thick_thin_octagon_group_all_thick():
     assert min_disp > 2.0
 
 
+def test_thick_thin_scan_holds_one_block_not_the_whole_scan():
+    # 300 points x 22288 elements would be a 107 MB complex array; a scan
+    # holds one block of it at a time, so it peaks barely above its ball.
+    group = presets.octagon_genus2()
+    samples = presets.default_region("octagon-genus2", 300)
+    tracemalloc.start()
+    try:
+        bg = lab.BallGeometry(group, 5)
+        bg.stacked
+        ball_peak = tracemalloc.get_traced_memory()[1]
+        assert len(bg) == 22288
+        del bg
+        tracemalloc.reset_peak()
+        res = lab.thick_thin_scan(group, 2.0, samples, 5)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.thick_samples) == 300
+    assert scan_peak <= ball_peak + 8 * 2 ** 20
+
+
 def test_thin_witnesses_commute_or_share_structure(sl2z):
     samples = presets.default_region("sl2z", 600)
     res = lab.thick_thin_scan(sl2z, 0.2, samples, 6)
@@ -204,6 +226,38 @@ def test_ball_geometry_classifies_each_element_at_most_once(sl2z, monkeypatch):
         calls.clear()
         run()
         assert max(calls.values()) == 1
+
+
+def picard_group():
+    """Translations by 1 and i and the inversion: a complex (H^3) group."""
+    return FinitelyGeneratedGroup([MoebiusIsometry(((1, 1), (0, 1))),
+                                   MoebiusIsometry(((1, 1j), (0, 1))),
+                                   MoebiusIsometry(((0, -1), (1, 0)))])
+
+
+@pytest.mark.parametrize("block_entries", [lab.BLOCK_ENTRIES, 1000, 1])
+@pytest.mark.parametrize("name, radius, dim", [
+    ("sl2z", 6, 2), ("octagon-genus2", 3, 2), ("picard", 3, 3)])
+def test_displacement_blocks_equal_the_per_point_path(name, radius, dim, block_entries,
+                                                      monkeypatch):
+    group = picard_group() if name == "picard" else presets.get_group(name)
+    bg = lab.BallGeometry(group, radius)
+    monkeypatch.setattr(lab, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(radius)
+    coords = np.column_stack([rng.uniform(-0.5, 0.5, (40, dim - 1)),
+                              rng.uniform(0.2, 3.0, 40)])
+    points = [HPoint(*c) for c in coords.tolist()]
+    starts, blocks = zip(*bg.displacement_blocks(coords))
+    assert len(blocks) > 1 or block_entries > 40 * len(bg)
+    assert list(starts) == np.cumsum([0] + [len(b) for b in blocks[:-1]]).tolist()
+    want = np.array([displacements_at(bg.elements, p) for p in points])
+    assert np.array_equal(np.concatenate(blocks).view(np.int64), want.view(np.int64))
+    columns = [0, 5, len(bg) - 1]
+    (_, sub), = bg.displacement_blocks(coords[:1], columns)
+    assert np.array_equal(sub[0].view(np.int64), want[0, columns].view(np.int64))
+    assert np.array_equal(bg.displacements(points[0]).view(np.int64), want[0].view(np.int64))
+    none = [b for _, b in bg.displacement_blocks(np.empty((0, dim)))]
+    assert np.concatenate([np.empty((0, len(bg)))] + none).shape == (0, len(bg))
 
 
 # -- the displacement Morse function ---------------------------------------------------
@@ -283,6 +337,7 @@ def test_gradient_lemma_thick_samples_empty():
     samples = [HPoint(x, 0.6) for x in np.linspace(-0.4, 0.4, 20)]
     res = lab.gradient_lemma_check(group, 0.3, samples, 6, 1e-4)
     assert not res.violations
+    assert lab.gradient_lemma_check(group, 0.3, [], 6, 1e-4) == lab.GradientLemmaResult([], 0, 0)
 
 
 def test_gradient_lemma_cusp_sweep_empty():
@@ -299,6 +354,92 @@ def test_gradient_lemma_detects_plateau_bump():
     res = lab.gradient_lemma_check(group, 0.3, samples, 6, 1e-4,
                                    bump=plateau_bump(0.3))
     assert len(res.violations) >= 1
+
+
+def scalar_psi(bg, x, epsilon, bump):
+    """Scalar reference for the batched displacement Morse function: one
+    point at a time over every element of the ball."""
+    f = bump or lab.standard_bump(epsilon)
+    lengths = bg.translation_lengths
+    disp = displacements_at(bg.elements, x)
+    value = 0.0
+    for i in np.flatnonzero(lengths <= epsilon).tolist():
+        t = float(disp[i] - lengths[i])
+        if t <= 1e-9 and bg.classify(i).attained:
+            raise DomainError(
+                "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
+        value += f(t)
+    return value
+
+
+def scalar_gradient_lemma_check(group, epsilon, samples, radius, h, bump=None):
+    """Scalar reference for `gradient_lemma_check`: each sample, then the
+    central differences around it, one point at a time."""
+    tol, grad_tol = 1e-9, 1e-6
+    bg = lab.BallGeometry(group, radius)
+    violations, borderline, checked = [], 0, 0
+    for p in samples:
+        value = scalar_psi(bg, p, epsilon, bump)
+        if tol < value <= 2.0 * tol:
+            borderline += 1
+            continue
+        dim = len(p.coords)
+        grad = np.zeros(dim)
+        for i in range(dim):
+            delta = [0.0] * dim
+            delta[i] = h
+            up = scalar_psi(bg, HPoint(*(c + d for c, d in zip(p.coords, delta))), epsilon, bump)
+            delta[i] = -h
+            dn = scalar_psi(bg, HPoint(*(c + d for c, d in zip(p.coords, delta))), epsilon, bump)
+            grad[i] = (up - dn) / (2.0 * h)
+        g = float(np.linalg.norm(grad))
+        checked += 1
+        if (value <= tol) != (g <= grad_tol):
+            violations.append((p, value, g))
+    return lab.GradientLemmaResult(violations=violations, borderline=borderline, checked=checked)
+
+
+@pytest.mark.parametrize("bump", [None, plateau_bump], ids=["standard", "plateau"])
+@pytest.mark.parametrize("group, radius, epsilon, h, seed", [
+    (presets.cusp_model(), 6, 0.3, 1e-4, 1),
+    (presets.cusp_model(), 4, 0.8, 1e-3, 2),
+    (presets.sl2z(), 4, 0.8, 1e-4, 3),
+    (presets.sl2z(), 3, 2.0, 1e-5, 4),
+    (presets.cyclic_hyperbolic(0.1), 4, 0.3, 1e-5, 5),
+], ids=["cusp-0.3", "cusp-0.8", "sl2z-0.8", "sl2z-2.0", "cyclic-hyperbolic"])
+def test_gradient_lemma_check_matches_the_scalar_reference(group, radius, epsilon, h, seed,
+                                                           bump):
+    rng = np.random.default_rng(seed)
+    samples = [HPoint(x, y) for x, y in zip(rng.uniform(-0.6, 0.6, 60).tolist(),
+                                            rng.uniform(0.1, 8.0, 60).tolist())]
+    f = bump and bump(epsilon)
+    got = lab.gradient_lemma_check(group, epsilon, samples, radius, h, f)
+    want = scalar_gradient_lemma_check(group, epsilon, samples, radius, h, f)
+    assert got == want
+    assert got.checked + got.borderline == 60
+
+
+def test_gradient_lemma_check_raises_the_first_domain_error_sample_by_sample(sl2z):
+    # The first sample's stencil reaches i, fixed by an order-2 element; the
+    # second sample sits at rho, fixed by an order-3 element.  The scalar
+    # order meets the stencil first, although the samples are evaluated in
+    # a batch before any stencil.
+    samples = [HPoint(1e-4, 1.0), HPoint(0.5, math.sqrt(3.0) / 2.0)]
+    with pytest.raises(DomainError) as want:
+        scalar_gradient_lemma_check(sl2z, 0.3, samples, 3, 1e-4)
+    with pytest.raises(DomainError) as got:
+        lab.gradient_lemma_check(sl2z, 0.3, samples, 3, 1e-4)
+    with pytest.raises(DomainError) as later:
+        lab.gradient_lemma_check(sl2z, 0.3, samples[1:], 3, 1e-4)
+    assert str(got.value) == str(want.value) != str(later.value)
+
+
+@pytest.mark.parametrize("h, match", [(0.0, "must be positive"), (-1e-4, "must be positive"),
+                                      (0.5, "lower --step"), (0.6, "lower --step")])
+def test_gradient_lemma_check_rejects_a_step_that_leaves_the_half_plane(h, match):
+    samples = [HPoint(0, 2.0), HPoint(0.1, 0.5)]
+    with pytest.raises(PreconditionError, match=match):
+        lab.gradient_lemma_check(presets.cusp_model(), 0.3, samples, 6, h)
 
 
 # -- samplers -----------------------------------------------------------------------
