@@ -187,11 +187,11 @@ def cmd_presentation(args):
         metric = nerve.TorusMetric()
         pts = presets.sample_torus(args.samples)
     else:
-        group = presets.get_group(name)
-        metric = nerve.SurfaceMetric(
-            group, presets.octagon_center(),
-            region_radius=presets.octagon_circumradius(),
-            interaction_radius=2.0 * radius)
+        # Certified slack: the octagon's circumradius (`displacement_pruned_ball`).
+        rho = presets.octagon_circumradius()
+        metric = nerve.SurfaceMetric(presets.get_group(name), presets.octagon_center(),
+                                     region_radius=rho, interaction_radius=2.0 * radius,
+                                     slack=rho)
         pts = presets.default_region(name, count=args.samples)
     net = nerve.build_eps_net(pts, eps, metric)
     complex_ = nerve.nerve(net, radius, metric)

@@ -27,13 +27,16 @@ class BallGeometry:
     """A word ball with the precomputation the scan-style experiments share:
     batched displacements in blocks, each element's class (computed on first
     use, at most once), the translation lengths, and the short-element
-    component rule of the thick-thin decomposition and the Margulis lemma."""
+    component rule of the thick-thin decomposition and the Margulis lemma.
+    A ball with no nontrivial element is a PreconditionError."""
 
     def __init__(self, group, radius):
         self.radius = radius
         ball = word_ball(group, radius)
         self.words = [w for w, _ in ball.nontrivial()]
         self.elements = [e for _, e in ball.nontrivial()]
+        if not self.elements:
+            raise PreconditionError("empty nontrivial ball")
         self._classes = {}
 
     def __len__(self):
@@ -105,8 +108,6 @@ def injectivity_radius(group, x, radius):
     if radius < 1:
         raise PreconditionError("ball radius must be >= 1")
     bg = BallGeometry(group, radius)
-    if not bg.elements:
-        raise PreconditionError("empty nontrivial ball")
     disp = bg.displacements(x)
     i = int(np.argmin(disp))
     word = bg.words[i]
@@ -190,8 +191,6 @@ def thick_thin_scan(group, epsilon, samples, radius):
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % epsilon)
     bg = BallGeometry(group, radius)
-    if not bg.elements:
-        raise PreconditionError("empty nontrivial ball")
     groups = []                     # (kind, identifying data) per component
     witnesses = defaultdict(set)    # component -> indices of its short elements
     held = defaultdict(list)        # component -> samples inside it

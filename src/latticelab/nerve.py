@@ -7,12 +7,13 @@ length at most 3 (tree edges read as the empty letter).  Abelianization via
 integer normal form is the verification oracle downstream.
 
 Metric contexts make the same construction run on the flat torus and on
-closed hyperbolic surfaces presented as quotients.  Each exposes
-`distances(x, ys)`, the array of distances from x to every point of ys, and
-the minimax radius of three points, both through nearest lifts (on the torus
-y + round(x - y), on a surface the nearest of a precomputed set of deck
-translates).  H^2 triangles are solved in the hyperboloid model with the
-helpers of `hyperboloid`.
+closed hyperbolic surfaces presented as quotients.  Each exposes `lifts(ys)`,
+one row per point of ys (torus coordinates, or translates by a precomputed
+deck set); `distances_to(x, lifted)`, from x to each row's point through its
+nearest lift (on the torus y + round(x - y), on a surface the nearest
+translate), and `distances(x, ys) = distances_to(x, lifts(ys))`; and the
+minimax radius of three points.  H^2 triangles are solved in the hyperboloid
+model with the helpers of `hyperboloid`.
 """
 
 from dataclasses import dataclass
@@ -81,9 +82,15 @@ class TorusMetric:
     1/4 the value is only an upper bound, so nerves need r <= 1/4.
     """
 
-    def distances(self, x, ys):
-        d = np.asarray(x, float) - np.asarray(ys, float)
+    def lifts(self, ys):
+        return np.asarray(ys, float)
+
+    def distances_to(self, x, lifted):
+        d = np.asarray(x, float) - lifted
         return np.linalg.norm(d - np.round(d), axis=-1)
+
+    def distances(self, x, ys):
+        return self.distances_to(x, self.lifts(ys))
 
     def nearest_lift(self, x, y):
         y = np.asarray(y, float)
@@ -103,26 +110,29 @@ class SurfaceMetric:
     `region_radius` bounds d(base, x) for the points in play and
     `interaction_radius` bounds the distances that must come out exact; the
     deck set keeps every transformation the triangle inequality allows for
-    such pairs.
+    such pairs, exploring at `slack` (certified: `displacement_pruned_ball`).
     """
 
-    def __init__(self, group, base, region_radius, interaction_radius, slack=None):
+    def __init__(self, group, base, region_radius, interaction_radius, slack):
         keep = 2.0 * region_radius + interaction_radius + 0.1
         self.deck = displacement_pruned_ball(group, base, keep, slack=slack)
         self._abcd = stack_moebius(self.deck)
 
-    def _lifts(self, ys):
+    def lifts(self, ys):
         """Deck translates of the points ys: one row per point, one column
         per deck transformation."""
         return moebius_apply_h2(self._abcd, np.array([y.z for y in ys])[:, None])
 
+    def distances_to(self, x, lifted):
+        return distances_h2(x.z, lifted).min(axis=1)
+
     def distances(self, x, ys):
-        return distances_h2(x.z, self._lifts(ys)).min(axis=1)
+        return self.distances_to(x, self.lifts(ys))
 
     def nearest_lift(self, x, y):
         """The deck translate of y nearest to x (unique when the relevant
         distances stay below half the systole)."""
-        ts = self._lifts([y])[0]
+        ts = self.lifts([y])[0]
         return HPoint(complex(ts[int(np.argmin(distances_h2(x.z, ts)))]))
 
     def minimax_radius(self, x, y, z):
@@ -148,13 +158,16 @@ def build_eps_net(points, eps, metric):
     """Greedy insertion: keep a point iff it is >= eps from every center.
 
     The result is eps-separated and, relative to the sampled stream, maximal
-    (every rejected point certifies its own eps-cover)."""
+    (every rejected point certifies its own eps-cover).  Centers are lifted
+    once, when kept."""
     if eps <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % eps)
-    centers = []
+    centers, lifted = [], None
     for p in points:
-        if not centers or metric.distances(p, centers).min() >= eps:
+        if not centers or metric.distances_to(p, lifted).min() >= eps:
             centers.append(p)
+            new = metric.lifts([p])
+            lifted = new if lifted is None else np.concatenate((lifted, new))
             if len(centers) > _NET_CAP:
                 raise CapExceededError("eps-net exceeded %d centers" % _NET_CAP)
     return EpsNet(centers=centers, eps=eps)
@@ -182,10 +195,11 @@ def nerve(net, r, metric):
         raise PreconditionError("ball radius must be positive, got %g" % r)
     cs = net.centers
     n = len(cs)
+    lifted = metric.lifts(cs)
     edges = []
     adj = [set() for _ in range(n)]
     for i in range(n - 1):
-        near = np.flatnonzero(metric.distances(cs[i], cs[i + 1:]) < 2.0 * r) + i + 1
+        near = np.flatnonzero(metric.distances_to(cs[i], lifted[i + 1:]) < 2.0 * r) + i + 1
         for j in near.tolist():
             edges.append((i, j))
             adj[i].add(j)

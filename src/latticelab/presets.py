@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from . import mat2
 from .errors import PreconditionError
 from .euclidean import EuclideanIsometry
 from .hyperbolic import HPoint, MoebiusIsometry
@@ -160,36 +161,35 @@ def sample_sl2z_domain(count):
     Halton points in the strip, rejected below the unit circle; heights drawn
     from the hyperbolic area density dy/y^2 so the cusp is not oversampled.
     """
-    out = []
     u = halton(4 * count)
     y0 = math.sqrt(3.0) / 2.0
-    for ux, uy in u:
-        x = ux - 0.5
-        # y with density 1/y^2 on [y0, 20]: invert the CDF.
-        y = 1.0 / (1.0 / y0 - uy * (1.0 / y0 - 1.0 / 20.0))
-        if x * x + y * y >= 1.0:
-            out.append(HPoint(x, y))
-            if len(out) == count:
-                break
-    return out
+    x = u[:, 0] - 0.5
+    # y with density 1/y^2 on [y0, 20]: invert the CDF.
+    y = 1.0 / (1.0 / y0 - u[:, 1] * (1.0 / y0 - 1.0 / 20.0))
+    inside = np.flatnonzero(x * x + y * y >= 1.0)[:count]
+    return [HPoint(p, q) for p, q in zip(x[inside].tolist(), y[inside].tolist())]
+
+
+def _det1(m):
+    """The real flat matrix m as `MoebiusIsometry(m)` keeps it: scaled to
+    determinant one, sign-canonical."""
+    return mat2.canonicalize_sign(mat2.normalize_det1(m, False), False)
 
 
 def sample_hyperbolic_disk(center, radius, count):
-    """Area-uniform Halton sample of the hyperbolic disk about a point of H^2."""
+    """Area-uniform Halton sample of the hyperbolic disk about a point of H^2:
+    i e^r turned by theta about i, then moved to the center, in the float
+    operations of the MoebiusIsometry product and action (tested)."""
+    y = center.z.imag
+    move = _det1((math.sqrt(y), center.z.real / math.sqrt(y), 0.0, 1.0 / math.sqrt(y)))
     pts = []
-    for u, v in halton(count):
+    for u, v in halton(count).tolist():
         r = math.acosh(1.0 + u * (math.cosh(radius) - 1.0))
         theta = 2.0 * math.pi * v
-        # Move distance r from the center along direction theta: rotate the
-        # vertical ray about the center.
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        rot = MoebiusIsometry(((c, s), (-s, c)))
-        # Conjugate the rotation about i to a rotation about the center.
-        y = center.z.imag
-        move = MoebiusIsometry(((math.sqrt(y), center.z.real / math.sqrt(y)),
-                                (0.0, 1.0 / math.sqrt(y))))
-        up = HPoint(0.0, math.exp(r))
-        pts.append((move * rot).apply(up))
+        a, b, c, d = map(complex, _det1(mat2.mul(move, _det1((c, s, -s, c)))))
+        z = complex(0.0, math.exp(r))
+        pts.append(HPoint.from_h2((a * z + b) / (c * z + d)))
     return pts
 
 

@@ -436,14 +436,20 @@ def displacements_at(elements, point):
     return np.array([e.displacement(x) for e in elements])
 
 
-def displacement_pruned_ball(group, base, keep, slack=None, cap=200000):
+def displacement_pruned_ball(group, base, keep, slack, cap=200000):
     """Elements g with d(base, g base) <= keep, found by BFS over the orbit.
 
     BFS expands through elements up to displacement keep + slack before
-    pruning, so orbit points reachable only through detours are not lost; the
-    default slack is twice the generator displacement, enough for cell
-    adjacency paths in cocompact tilings.  Completeness at a given slack is a
-    heuristic: callers should check stability under a larger slack (tested).
+    pruning, so orbit points reachable only through detours are not lost.
+    The caller chooses the slack; this certificate gives one.  Let the
+    symmetric generators be the side pairings of a fundamental polygon D
+    that contains base, and let every point of D lie within rho of base.
+    The geodesic from base to g base crosses a chain of edge-adjacent tiles
+    h D, from D to g D.  Neighbouring tiles differ by a side pairing (on the
+    right), and each tile meets the geodesic, so its center h base lies
+    within keep + rho of base.  So slack rho finds every g (the octagon's
+    side pairings about its center with rho its circumradius, as the
+    `presentation` command uses them).
 
     For a real group at an H^2 base, the BFS drops candidates beyond
     keep + slack before keying them (a reach, see `_bfs`), and the scalar
@@ -452,9 +458,6 @@ def displacement_pruned_ball(group, base, keep, slack=None, cap=200000):
     not the candidates pruned beyond it.
     """
     sym = group.symmetric_generators()
-    if slack is None:
-        gen_disp = max(hyperbolic.displacement(g, base) for _, g in sym)
-        slack = 2.0 * gen_disp
     explore = keep + slack
     real_h2 = base.dim == 2 and not any(g.is_complex for _, g in sym)
 

@@ -442,6 +442,17 @@ def test_gradient_lemma_check_rejects_a_step_that_leaves_the_half_plane(h, match
         lab.gradient_lemma_check(presets.cusp_model(), 0.3, samples, 6, h)
 
 
+@pytest.mark.parametrize("one", [1, 1.0])
+def test_every_ball_experiment_rejects_an_empty_nontrivial_ball(one):
+    group = FinitelyGeneratedGroup([MoebiusIsometry(((one, 0 * one), (0 * one, one)))])
+    x = HPoint(0, 1)
+    for run in (lambda: lab.injectivity_radius(group, x, 2),
+                lambda: lab.thick_thin_scan(group, 0.3, [x], 2),
+                lambda: lab.gradient_lemma_check(group, 0.3, [x], 2, 1e-4)):
+        with pytest.raises(PreconditionError, match="empty nontrivial ball"):
+            run()
+
+
 # -- samplers -----------------------------------------------------------------------
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -450,6 +461,57 @@ def test_halton_equals_scipy_bit_for_bit(dim):
         for skip in (0, 20):
             oracle = qmc.Halton(d=dim, scramble=False).random(count + skip)[skip:]
             assert np.array_equal(presets.halton(count, dim=dim, skip=skip), oracle)
+
+
+def reference_disk_sample(center, radius, count):
+    """`presets.sample_hyperbolic_disk` as MoebiusIsometry products, one
+    rotation, move and action per point."""
+    pts = []
+    for u, v in presets.halton(count):
+        r = math.acosh(1.0 + u * (math.cosh(radius) - 1.0))
+        theta = 2.0 * math.pi * v
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        rot = MoebiusIsometry(((c, s), (-s, c)))
+        y = center.z.imag
+        move = MoebiusIsometry(((math.sqrt(y), center.z.real / math.sqrt(y)),
+                                (0.0, 1.0 / math.sqrt(y))))
+        up = HPoint(0.0, math.exp(r))
+        pts.append((move * rot).apply(up))
+    return pts
+
+
+def reference_sl2z_domain(count):
+    """`presets.sample_sl2z_domain` one Halton point at a time."""
+    out = []
+    y0 = math.sqrt(3.0) / 2.0
+    for ux, uy in presets.halton(4 * count):
+        x = ux - 0.5
+        y = 1.0 / (1.0 / y0 - uy * (1.0 / y0 - 1.0 / 20.0))
+        if x * x + y * y >= 1.0:
+            out.append(HPoint(x, y))
+            if len(out) == count:
+                break
+    return out
+
+
+def bits(points):
+    return [(p.dim, p.z.real.hex(), p.z.imag.hex(), p.t.hex()) for p in points]
+
+
+def test_disk_sample_is_the_moebius_product_sample_bit_for_bit():
+    cases = [(presets.octagon_center(), presets.octagon_circumradius(), 1500)]
+    cases += [(c, r, 300) for c in (HPoint(-0.3, 0.7), HPoint(2.0, 3.5), HPoint(0.1, 0.05))
+              for r in (0.3, 1.7, 4.0)]
+    for center, radius, count in cases:
+        assert bits(presets.sample_hyperbolic_disk(center, radius, count)) == \
+            bits(reference_disk_sample(center, radius, count))
+
+
+def test_modular_domain_sample_is_the_pointwise_sample_bit_for_bit():
+    for count in (0, 1, 300, 601, 1000):
+        got = presets.sample_sl2z_domain(count)
+        assert len(got) == count
+        assert bits(got) == bits(reference_sl2z_domain(count))
 
 
 # -- covolumes -----------------------------------------------------------------------

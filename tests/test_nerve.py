@@ -15,8 +15,11 @@ from latticelab.errors import PreconditionError
 class EuclideanMetric:
     """The plane R^2 with points as arrays."""
 
-    def distances(self, x, ys):
-        return np.linalg.norm(np.asarray(x, float) - np.asarray(ys, float), axis=-1)
+    def lifts(self, ys):
+        return np.asarray(ys, float)
+
+    def distances_to(self, x, lifted):
+        return np.linalg.norm(np.asarray(x, float) - lifted, axis=-1)
 
     def minimax_radius(self, x, y, z):
         return nerve._euclid_minimax([x, y, z])
@@ -77,6 +80,16 @@ def _reference_net(points, eps, metric):
     return centers
 
 
+def _lift_per_sample_net(points, eps, metric):
+    """Greedy eps-net measuring each point against all centers at once,
+    lifting every center again for every point."""
+    centers = []
+    for p in points:
+        if not centers or metric.distances(p, centers).min() >= eps:
+            centers.append(p)
+    return centers
+
+
 def _reference_edges(centers, r, metric):
     """Nerve edges measured one pair at a time, in lexicographic order."""
     n = len(centers)
@@ -96,6 +109,9 @@ def test_net_and_edges_match_the_per_pair_reference(surface, request):
     reference = _reference_net(pts, eps, metric)
     assert len(net.centers) == len(reference) > 3
     assert all(c is q for c, q in zip(net.centers, reference))
+    relifted = _lift_per_sample_net(pts, eps, metric)
+    assert len(relifted) == len(reference)
+    assert all(c is q for c, q in zip(net.centers, relifted))
     r = 1.1 * eps
     assert nerve.nerve(net, r, metric).edges == _reference_edges(reference, r, metric)
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from latticelab import mat2, presets, wordballs
+from latticelab import cli, mat2, nerve, presets, wordballs
 from latticelab.errors import CapExceededError, PreconditionError
 from latticelab.euclidean import EuclideanIsometry
 from latticelab.hyperbolic import HPoint, MoebiusIsometry, displacement
@@ -107,6 +107,31 @@ def test_displacement_pruned_ball_stable_under_slack_and_matches_word_ball(octag
     in_ball = {e.dedup_key() for e in word_ball(octagon, 4).elements
                if displacement(e, base) <= keep}
     assert keys[4.5] == keys[5.5] == in_ball
+
+
+def wide_slack(group, base):
+    """Twice the largest generator displacement at base: a heuristic slack
+    far wider than the octagon's certified one."""
+    return 2.0 * max(displacement(g, base) for _, g in group.symmetric_generators())
+
+
+def test_certified_octagon_slack_keeps_the_wide_slack_deck(octagon, monkeypatch):
+    center, rho = presets.octagon_center(), presets.octagon_circumradius()
+    cli_keep = 2.0 * rho + 2.0 * 0.55 + 0.1    # the CLI's deck, as `nerve.SurfaceMetric` sums it
+    for keep in (4.0, 5.0, cli_keep, 7.0):
+        got = displacement_pruned_ball(octagon, center, keep, slack=rho, cap=10**6)
+        want = displacement_pruned_ball(octagon, center, keep,
+                                        slack=wide_slack(octagon, center), cap=10**6)
+        assert [e.m for e in got] == [e.m for e in want]
+    assert len(displacement_pruned_ball(octagon, center, cli_keep, slack=rho, cap=2000)) == 97
+    with pytest.raises(CapExceededError):
+        displacement_pruned_ball(octagon, center, cli_keep, slack=wide_slack(octagon, center),
+                                 cap=2000)
+    # The CLI's own deck fits the same cap, so it explores at the certified slack.
+    pruned = nerve.displacement_pruned_ball
+    monkeypatch.setattr(nerve, "displacement_pruned_ball",
+                        lambda *args, **kw: pruned(*args, **dict(kw, cap=2000)))
+    assert cli.main(["presentation", "--preset", "octagon-genus2"]) == 0
 
 
 def test_mixed_exact_and_float_generators_keep_one_copy_of_each_element():
@@ -317,11 +342,11 @@ def without_reach(monkeypatch):
 
 def reach_cases():
     """(base, keep, slack) of the surface presentation in the benchmark, of
-    the CLI's default octagon presentation (slack None: the default), and of
-    three seeded bases with keep and slack in [4, 5]."""
+    the CLI's default octagon deck at the wide slack, and of three seeded
+    bases with keep and slack in [4, 5]."""
     center, rho = presets.octagon_center(), presets.octagon_circumradius()
     keep = 2.0 * rho + 1.1 + 0.1    # as `nerve.SurfaceMetric` sums it
-    cases = [(center, keep, 5.0), (center, keep, None)]
+    cases = [(center, keep, 5.0), (center, keep, wide_slack(presets.octagon_genus2(), center))]
     rng = np.random.default_rng(1402)
     for _ in range(3):
         base = HPoint(rng.uniform(-0.2, 0.2), math.exp(rng.uniform(-0.2, 0.2)))
