@@ -9,11 +9,12 @@ integer normal form is the verification oracle downstream.
 Metric contexts make the same construction run on the flat torus and on
 closed hyperbolic surfaces presented as quotients.  Each exposes `lifts(ys)`,
 one row per point of ys (torus coordinates, or translates by a precomputed
-deck set); `distances_to(x, lifted)`, from x to each row's point through its
-nearest lift (on the torus y + round(x - y), on a surface the nearest
-translate), and `distances(x, ys) = distances_to(x, lifts(ys))`; and the
-minimax radius of three points.  H^2 triangles are solved in the hyperboloid
-model with the helpers of `hyperboloid`.
+deck set); `distances_to(xs, lifted)`, the (len(xs), rows) distances through
+nearest lifts (torus y + round(x - y); on a surface arccosh of the least
+cosh-argument over the translates, bit for bit the least distance as
+`np.arccosh` is non-decreasing, tested), with its one-point form `distances`;
+and the minimax radius of a point and two lifted rows.  H^2 triangles are
+solved in the hyperboloid model with the helpers of `hyperboloid`.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from .errors import CapExceededError, PreconditionError
 from .hyperbolic import HPoint
 from .hyperboloid import (h2_point_to_hyperboloid, hdistance, minkowski_form, normalize_point,
                           q_inner)
-from .wordballs import displacement_pruned_ball, distances_h2, moebius_apply_h2, stack_moebius
+from .wordballs import (cosh_distances_h2, displacement_pruned_ball, distances_h2,
+                        moebius_apply_h2, stack_moebius)
 
 
 # -- metric contexts ---------------------------------------------------------
@@ -85,12 +87,12 @@ class TorusMetric:
     def lifts(self, ys):
         return np.asarray(ys, float)
 
-    def distances_to(self, x, lifted):
-        d = np.asarray(x, float) - lifted
+    def distances_to(self, xs, lifted):
+        d = np.asarray(xs, float)[:, None] - lifted
         return np.linalg.norm(d - np.round(d), axis=-1)
 
     def distances(self, x, ys):
-        return self.distances_to(x, self.lifts(ys))
+        return self.distances_to([x], self.lifts(ys))[0]
 
     def nearest_lift(self, x, y):
         y = np.asarray(y, float)
@@ -123,16 +125,16 @@ class SurfaceMetric:
         per deck transformation."""
         return moebius_apply_h2(self._abcd, np.array([y.z for y in ys])[:, None])
 
-    def distances_to(self, x, lifted):
-        return distances_h2(x.z, lifted).min(axis=1)
+    def distances_to(self, xs, lifted):
+        z = np.array([x.z for x in xs])[:, None, None]
+        return np.arccosh(np.maximum(cosh_distances_h2(z, lifted).min(axis=2), 1.0))
 
     def distances(self, x, ys):
-        return self.distances_to(x, self.lifts(ys))
+        return self.distances_to([x], self.lifts(ys))[0]
 
-    def nearest_lift(self, x, y):
-        """The deck translate of y nearest to x (unique when the relevant
-        distances stay below half the systole)."""
-        ts = self.lifts([y])[0]
+    def nearest_lift(self, x, ts):
+        """The translate in the lifted row ts nearest to x by distance (unique
+        when the relevant distances stay below half the systole)."""
         return HPoint(complex(ts[int(np.argmin(distances_h2(x.z, ts)))]))
 
     def minimax_radius(self, x, y, z):
@@ -150,26 +152,40 @@ class EpsNet:
     eps: float
 
 
-# Most centers an eps-net may hold.
+# Most centers an eps-net may hold; most points, and point x lifted entries,
+# per blocked distance call.
 _NET_CAP = 10**4
+_NET_BLOCK = 64
+_NET_ENTRIES = 2 ** 15
 
 
 def build_eps_net(points, eps, metric):
     """Greedy insertion: keep a point iff it is >= eps from every center.
 
     The result is eps-separated and, relative to the sampled stream, maximal
-    (every rejected point certifies its own eps-cover).  Centers are lifted
-    once, when kept."""
+    (every rejected point certifies its own eps-cover).  One call measures a
+    block of the stream against the centers kept before it; each survivor is
+    then measured, in order, against those kept earlier in its block.  Every
+    distance is the one-point loop's float, so the centers are the loop's."""
     if eps <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % eps)
-    centers, lifted = [], None
-    for p in points:
-        if not centers or metric.distances_to(p, lifted).min() >= eps:
-            centers.append(p)
-            new = metric.lifts([p])
-            lifted = new if lifted is None else np.concatenate((lifted, new))
+    points = list(points)
+    centers, lifted, start = [], metric.lifts(points[:1])[:0], 0
+    while start < len(points):
+        block = points[start:start + max(1, min(_NET_BLOCK, _NET_ENTRIES // max(1, lifted.size)))]
+        far = metric.distances_to(block, lifted).min(axis=1, initial=np.inf) >= eps
+        new = lifted[:0]
+        for k in np.flatnonzero(far).tolist():
+            if len(new) and metric.distances_to([block[k]], new).min() < eps:
+                continue
+            centers.append(block[k])
+            new = np.concatenate((new, metric.lifts([block[k]])))
             if len(centers) > _NET_CAP:
-                raise CapExceededError("eps-net exceeded %d centers" % _NET_CAP)
+                raise CapExceededError("eps-net exceeded %d centers after %d of %d samples; raise "
+                                       "--epsilon or lower --samples"
+                                       % (_NET_CAP, start + k + 1, len(points)), entries=centers)
+        lifted = np.concatenate((lifted, new)) if len(new) else lifted
+        start += len(block)
     return EpsNet(centers=centers, eps=eps)
 
 
@@ -198,9 +214,10 @@ def nerve(net, r, metric):
     lifted = metric.lifts(cs)
     edges = []
     adj = [set() for _ in range(n)]
-    for i in range(n - 1):
-        near = np.flatnonzero(metric.distances_to(cs[i], lifted[i + 1:]) < 2.0 * r) + i + 1
-        for j in near.tolist():
+    rows = max(1, _NET_ENTRIES // max(1, lifted.size))
+    for s in range(0, n, rows):
+        near = np.triu(metric.distances_to(cs[s:s + rows], lifted) < 2.0 * r, s + 1)
+        for i, j in (np.argwhere(near) + (s, 0)).tolist():
             edges.append((i, j))
             adj[i].add(j)
             adj[j].add(i)
@@ -212,7 +229,7 @@ def nerve(net, r, metric):
             for k in sorted(adj[i] & adj[j]):
                 if k <= j:
                     continue
-                if metric.minimax_radius(cs[i], cs[j], cs[k]) < r:
+                if metric.minimax_radius(cs[i], lifted[j], lifted[k]) < r:
                     triangles.append((i, j, k))
     max_deg = max((len(a) for a in adj), default=0)
     bound = metric.ball_volume(2.5 * net.eps) / metric.ball_volume(net.eps / 2.0)

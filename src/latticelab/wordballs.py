@@ -402,11 +402,14 @@ def moebius_apply_h2(stacked, z):
     return (a * z + b) / (c * z + d)
 
 
+def cosh_distances_h2(z, w):
+    """cosh of the H^2 distances from points z to points w, unclamped."""
+    return 1.0 + np.abs(w - z) ** 2 / (2.0 * z.imag * np.maximum(w.imag, 1e-300))
+
+
 def distances_h2(z, w):
     """H^2 distances from the half-plane point z to the array of points w."""
-    num = np.abs(w - z) ** 2
-    arg = 1.0 + num / (2.0 * z.imag * np.maximum(w.imag, 1e-300))
-    return np.arccosh(np.maximum(arg, 1.0))
+    return np.arccosh(np.maximum(cosh_distances_h2(z, w), 1.0))
 
 
 def displacements_h2(stacked, z):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from latticelab import cli, hyperbolic, nerve, presets
-from latticelab.errors import PreconditionError
+from latticelab.errors import CapExceededError, PreconditionError
+from latticelab.wordballs import distances_h2
 
 
 class EuclideanMetric:
@@ -18,8 +19,8 @@ class EuclideanMetric:
     def lifts(self, ys):
         return np.asarray(ys, float)
 
-    def distances_to(self, x, lifted):
-        return np.linalg.norm(np.asarray(x, float) - lifted, axis=-1)
+    def distances_to(self, xs, lifted):
+        return np.linalg.norm(np.asarray(xs, float)[:, None] - lifted, axis=-1)
 
     def minimax_radius(self, x, y, z):
         return nerve._euclid_minimax([x, y, z])
@@ -123,6 +124,127 @@ def test_surface_distances_match_the_nearest_deck_translate(octagon_surface):
     for x in xs:
         expected = [min(hyperbolic.distance(x, g.apply(y)) for g in metric.deck) for y in ys]
         assert np.allclose(metric.distances(x, ys), expected, rtol=0, atol=1e-12)
+
+
+# The one-point loop, with each surface distance the least of the per-translate
+# `distances_h2` values: the oracle for the blocked net, the blocked edge pass
+# and the least-argument distance.
+
+def _loop_distances(metric, x, lifted):
+    if isinstance(metric, nerve.SurfaceMetric):
+        return distances_h2(x.z, lifted).min(axis=1)
+    d = np.asarray(x, float) - lifted
+    return np.linalg.norm(d - np.round(d), axis=-1)
+
+
+def _loop_net(points, eps, metric):
+    centers, lifted = [], None
+    for p in points:
+        if not centers or _loop_distances(metric, p, lifted).min() >= eps:
+            centers.append(p)
+            new = metric.lifts([p])
+            lifted = new if lifted is None else np.concatenate((lifted, new))
+    return centers
+
+
+def _loop_nerve(centers, r, metric):
+    """Edges one center at a time; triangles with each vertex relifted."""
+    lifted = metric.lifts(centers)
+    n = len(centers)
+    edges = [(i, j) for i in range(n - 1)
+             for j in (np.flatnonzero(_loop_distances(metric, centers[i], lifted[i + 1:])
+                                      < 2.0 * r) + i + 1).tolist()]
+
+    def minimax(x, y, z):
+        if not isinstance(metric, nerve.SurfaceMetric):
+            return metric.minimax_radius(x, y, z)
+        near = [hyperbolic.HPoint(complex(ts[int(np.argmin(distances_h2(x.z, ts)))]))
+                for ts in metric.lifts([y, z])]
+        return nerve._h2_minimax([x] + near)
+
+    adj = {i: {j for e in edges for j in e if i in e and j != i} for i in range(n)}
+    triangles = [(i, j, k) for (i, j) in edges for k in sorted(adj[i] & adj[j])
+                 if k > j and minimax(centers[i], centers[j], centers[k]) < r]
+    return edges, sorted(triangles)
+
+
+def _assert_matches_the_loop(points, eps, r, metric):
+    net = nerve.build_eps_net(points, eps, metric)
+    reference = _loop_net(points, eps, metric)
+    assert len(net.centers) == len(reference) > 3
+    assert all(c is q for c, q in zip(net.centers, reference))
+    cx = nerve.nerve(net, r, metric)
+    assert (cx.edges, cx.triangles) == _loop_nerve(reference, r, metric)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.25])
+def test_blocked_torus_net_and_nerve_equal_the_loop(eps):
+    shift = np.random.default_rng(int(eps * 100)).uniform(0.0, 1.0, size=2)
+    points = list(np.mod(np.array(presets.sample_torus(2000)) + shift, 1.0))
+    _assert_matches_the_loop(points, eps, min(1.1 * eps, 0.25), nerve.TorusMetric())
+
+
+@pytest.fixture(scope="module", params=[1.1, 2.2], ids=["deck97", "deck345"])
+def octagon_deck(request):
+    rho = presets.octagon_circumradius()
+    metric = nerve.SurfaceMetric(presets.octagon_genus2(), presets.octagon_center(),
+                                 region_radius=rho, interaction_radius=request.param, slack=rho)
+    assert len(metric.deck) == {1.1: 97, 2.2: 345}[request.param]
+    return metric
+
+
+@pytest.mark.parametrize("count, eps", [(1500, 0.5), (3000, 0.35), (8000, 0.25)])
+def test_blocked_octagon_net_and_nerve_equal_the_loop(octagon_deck, count, eps):
+    points = presets.default_region("octagon-genus2", count)
+    _assert_matches_the_loop(points, eps, 1.1 * eps, octagon_deck)
+
+
+def test_a_center_kept_mid_block_rejects_a_later_sample_of_its_block():
+    metric = nerve.TorusMetric()
+    block = nerve._NET_BLOCK
+    first = [np.array([0.01 * (i % 5), 0.0]) for i in range(block)]
+    q1, q2 = np.array([0.5, 0.5]), np.array([0.5, 0.53])
+    second = [np.array([0.0, 0.02]) for _ in range(block)]
+    second[block // 3], second[2 * block // 3] = q1, q2
+    points = first + second
+    assert metric.distances(q2, [first[0]])[0] >= 0.1 > metric.distances(q2, [q1])[0]
+    net = nerve.build_eps_net(points, 0.1, metric)
+    assert [id(c) for c in net.centers] == [id(first[0]), id(q1)]
+    assert [id(c) for c in _loop_net(points, 0.1, metric)] == [id(first[0]), id(q1)]
+
+
+@pytest.mark.parametrize("cap", [5, 40, 150])
+def test_net_cap_fires_at_the_loop_center_count(cap, monkeypatch):
+    metric = nerve.TorusMetric()
+    points = presets.sample_torus(2000)
+    reference = _loop_net(points, 0.05, metric)
+    consumed = next(i for i, p in enumerate(points) if p is reference[cap]) + 1
+    assert consumed % nerve._NET_BLOCK      # crossed in the middle of a block
+    monkeypatch.setattr(nerve, "_NET_CAP", cap)
+    with pytest.raises(CapExceededError) as info:
+        nerve.build_eps_net(points, 0.05, metric)
+    assert len(info.value.entries) == cap + 1
+    assert all(c is q for c, q in zip(info.value.entries, reference))
+    message = str(info.value)
+    assert "after %d of 2000 samples" % consumed in message
+    assert "--epsilon" in message and "--samples" in message
+
+
+# The surface distance takes one arccosh of the least cosh-argument, which is
+# the least per-translate distance bit for bit only if np.arccosh is
+# non-decreasing, and gives the same bits for an entry wherever it sits in a
+# contiguous or (positively) strided array.  A reversed view takes another
+# loop and differs in the last bit, as does `math.acosh` on 6 to 35 of 100
+# doubles sampled near these cosh(eps) (numpy 2.4.6, AVX-512 dispatch): no
+# decision may mix either with the array arccosh.
+@pytest.mark.parametrize("eps", [0.25, 0.5, 1.1, 2.2])
+def test_arccosh_is_non_decreasing_around_cosh_eps(eps):
+    bits = np.float64(math.cosh(eps)).view(np.int64) + np.arange(-10**6, 10**6)
+    args = bits.view(np.float64)
+    values = np.arccosh(args)
+    assert np.all(np.diff(values) >= 0)
+    assert np.array_equal(values[::3], np.arccosh(args[::3]))
+    assert np.array_equal(values[5:5000:97], np.arccosh(args[5:5000:97].copy()))
 
 
 # -- nerve construction ----------------------------------------------------------
