@@ -33,13 +33,13 @@ def basepoint(n):
 
 
 def normalize_point(x):
-    """Rescale a timelike vector onto the upper sheet."""
+    """Rescale a timelike vector, or each row of an array, onto the upper sheet."""
     x = np.asarray(x, dtype=float)
     s = -q_inner(x, x)
-    if s <= 0:
+    if np.any(s <= 0):
         raise InvalidPointError("vector is not timelike")
-    x = x / math.sqrt(s)
-    return x if x[0] > 0 else -x
+    x = x / np.sqrt(s)[..., None]
+    return np.where(x[..., :1] > 0, x, -x)
 
 
 def hdistance(x, y):
@@ -109,10 +109,11 @@ def from_moebius_h2(g):
     return LorentzIsometry(np.column_stack(cols))
 
 
-def h2_point_to_hyperboloid(p):
-    x, y = p.z.real, p.z.imag
+def h2_to_hyperboloid(z):
+    """Hyperboloid points of the half-plane points z, stacked on a last axis."""
+    x, y = np.real(z), np.imag(z)
     s = x * x + y * y
-    return np.array([(s + 1) / (2 * y), (s - 1) / (2 * y), x / y])
+    return np.stack([(s + 1) / (2 * y), (s - 1) / (2 * y), x / y], axis=-1)
 
 
 @dataclass

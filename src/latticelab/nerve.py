@@ -13,65 +13,66 @@ deck set); `distances_to(xs, lifted)`, the (len(xs), rows) distances through
 nearest lifts (torus y + round(x - y); on a surface arccosh of the least
 cosh-argument over the translates, bit for bit the least distance as
 `np.arccosh` is non-decreasing, tested), with its one-point form `distances`;
-and the minimax radius of a point and two lifted rows.  H^2 triangles are
-solved in the hyperboloid model with the helpers of `hyperboloid`.
+`nearest_lifts(xs, lifted)`, per row the lift nearest to xs[row]; and
+`minimax_radii(xs, ys, zs)`, the minimax radii of triangles with vertices ys,
+zs such lifts, in one array pass (on the torus with its one-triangle form
+`minimax_radius(x, y, z)` on lifted rows).
+H^2 triangles are solved on (N, 3) arrays in the hyperboloid model.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import ceil, comb, cosh, gcd, log, pi
 
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .hyperbolic import HPoint
-from .hyperboloid import (h2_point_to_hyperboloid, hdistance, minkowski_form, normalize_point,
-                          q_inner)
+from .hyperboloid import h2_to_hyperboloid, minkowski_form, normalize_point, q_inner
 from .wordballs import (cosh_distances_h2, displacement_pruned_ball, distances_h2,
                         moebius_apply_h2, stack_moebius)
 
 
 # -- metric contexts ---------------------------------------------------------
 
-def _euclid_minimax(pts):
-    """Radius of the minimal enclosing ball of three points of R^n.
+def _minimax_radii(p, dist, midpoint, circumradii):
+    """Radii of the least balls holding the triangles (p[0][m], p[1][m], p[2][m]).
 
-    Either half the longest side (when that midpoint ball already contains
-    the third point) or the circumradius.
+    Half the longest side when the ball about its midpoint already holds the
+    third vertex (to 1e-12), else `circumradii(vertices, half longest sides)`
+    on the remaining rows.
     """
-    p = [np.asarray(q, dtype=float) for q in pts]
-    dists = [(np.linalg.norm(p[i] - p[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
-    dmax, i, j = max(dists)
-    k = 3 - i - j
-    mid = (p[i] + p[j]) / 2.0
-    if np.linalg.norm(p[k] - mid) <= dmax / 2.0 + 1e-12:
-        return dmax / 2.0
-    # Circumcenter inside the plane of the triangle.
-    u = p[1] - p[0]
-    v = p[2] - p[0]
-    # Solve 2 (x - p0) . u = |u|^2, 2 (x - p0) . v = |v|^2 in the (u, v) frame.
-    g = np.array([[u @ u, u @ v], [u @ v, v @ v]])
-    rhs = 0.5 * np.array([u @ u, v @ v])
-    ab = np.linalg.solve(g, rhs)
-    center = p[0] + ab[0] * u + ab[1] * v
-    return float(np.linalg.norm(center - p[0]))
+    p = np.stack(p)
+    sides = np.stack([dist(p[0], p[1]), dist(p[0], p[2]), dist(p[1], p[2])])
+    longest = 2 - np.argmax(sides[::-1], axis=0)   # ties go to the later pair, as max((d, i, j))
+    m = np.arange(p.shape[1])
+    i, j = np.array([0, 0, 1])[longest], np.array([1, 2, 2])[longest]
+    half = sides[longest, m] / 2.0
+    wide = ~(dist(midpoint(p[i, m], p[j, m]), p[3 - i - j, m]) <= half + 1e-12)
+    half[wide] = circumradii(p[:, wide], half[wide])
+    return half
 
 
-def _h2_minimax(points):
-    """Minimal enclosing ball radius of three points of H^2, via the
-    hyperboloid model."""
-    v = [h2_point_to_hyperboloid(p) for p in points]
-    dists = [(hdistance(v[i], v[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
-    dmax, i, j = max(dists)
-    k = 3 - i - j
-    if hdistance(normalize_point(v[i] + v[j]), v[k]) <= dmax / 2.0 + 1e-12:
-        return dmax / 2.0
-    # Equidistant point: Q-orthogonal to both difference vectors.
-    q = minkowski_form(2)
-    p = np.cross(q @ (v[0] - v[1]), q @ (v[0] - v[2]))
-    if q_inner(p, p) >= 0:
-        # No interior circumcenter; the midpoint candidates were exhaustive.
-        return dmax / 2.0
-    return hdistance(normalize_point(p), v[0])
+def _euclid_circumradii(p, half):
+    # The circumcentre p0 + a u + b v solves 2 (x - p0) . u = |u|^2, 2 (x - p0) . v = |v|^2.
+    u, v = p[1] - p[0], p[2] - p[0]
+    uu, uv, vv = (u * u).sum(-1), (u * v).sum(-1), (v * v).sum(-1)
+    det = 2.0 * (uu * vv - uv * uv)
+    a, b = vv * (uu - uv) / det, uu * (vv - uv) / det
+    return np.linalg.norm(a[:, None] * u + b[:, None] * v, axis=-1)
+
+
+def _hdistances(x, y):
+    return np.arccosh(np.maximum(-q_inner(x, y), 1.0))
+
+
+def _h2_circumradii(v, half):
+    # Equidistant point: Q-orthogonal to both difference vectors.  A spacelike
+    # one has no interior circumcentre; the midpoint candidates were exhaustive.
+    q = np.diag(minkowski_form(2))
+    c = np.cross(q * (v[0] - v[1]), q * (v[0] - v[2]))
+    inside = q_inner(c, c) < 0
+    half[inside] = _hdistances(normalize_point(c[inside]), v[0][inside])
+    return half
 
 
 class TorusMetric:
@@ -94,12 +95,17 @@ class TorusMetric:
     def distances(self, x, ys):
         return self.distances_to([x], self.lifts(ys))[0]
 
-    def nearest_lift(self, x, y):
-        y = np.asarray(y, float)
-        return y + np.round(np.asarray(x, float) - y)
+    def nearest_lifts(self, xs, lifted):
+        lifted = np.asarray(lifted, float)
+        return lifted + np.round(np.asarray(xs, float).reshape(lifted.shape) - lifted)
+
+    def minimax_radii(self, xs, ys, zs):
+        return _minimax_radii([np.asarray(xs, float), ys, zs],
+                              lambda a, b: np.linalg.norm(a - b, axis=-1),
+                              lambda a, b: (a + b) / 2.0, _euclid_circumradii)
 
     def minimax_radius(self, x, y, z):
-        return _euclid_minimax([x, self.nearest_lift(x, y), self.nearest_lift(x, z)])
+        return float(self.minimax_radii([x], *(self.nearest_lifts([x], [w]) for w in (y, z)))[0])
 
     def ball_volume(self, r):
         return min(pi * r * r, 1.0)
@@ -132,13 +138,17 @@ class SurfaceMetric:
     def distances(self, x, ys):
         return self.distances_to([x], self.lifts(ys))[0]
 
-    def nearest_lift(self, x, ts):
-        """The translate in the lifted row ts nearest to x by distance (unique
-        when the relevant distances stay below half the systole)."""
-        return HPoint(complex(ts[int(np.argmin(distances_h2(x.z, ts)))]))
+    def nearest_lifts(self, xs, lifted):
+        """Per row, the translate nearest to xs[row] by per-translate distance
+        (unique when the relevant distances stay below half the systole)."""
+        lifted = np.asarray(lifted)
+        z = np.array([x.z for x in xs])[:, None]
+        return lifted[np.arange(len(lifted)), np.argmin(distances_h2(z, lifted), axis=1)]
 
-    def minimax_radius(self, x, y, z):
-        return _h2_minimax([x, self.nearest_lift(x, y), self.nearest_lift(x, z)])
+    def minimax_radii(self, xs, ys, zs):
+        v = [h2_to_hyperboloid(w) for w in (np.array([x.z for x in xs]), ys, zs)]
+        return _minimax_radii(v, _hdistances, lambda a, b: normalize_point(a + b),
+                              _h2_circumradii)
 
     def ball_volume(self, r):
         return 2 * pi * (cosh(r) - 1)
@@ -205,36 +215,38 @@ def nerve(net, r, metric):
 
     Edge iff two balls meet (center distance < 2r); triangle iff the three
     balls share a point, decided exactly in constant curvature by the minimax
-    radius test: the balls intersect iff min_p max_i d(p, c_i) < r.
+    radius test: the balls intersect iff min_p max_i d(p, c_i) < r.  Each edge
+    (i, j) takes its nearest lift once; the triples (i, j, k) with (i, k) and
+    (j, k) edges are decided in one `minimax_radii` call.
     """
     if r <= 0:
         raise PreconditionError("ball radius must be positive, got %g" % r)
     cs = net.centers
     n = len(cs)
     lifted = metric.lifts(cs)
-    edges = []
-    adj = [set() for _ in range(n)]
+    pairs, near = [np.zeros((0, 2), int)], []
     rows = max(1, _NET_ENTRIES // max(1, lifted.size))
     for s in range(0, n, rows):
-        near = np.triu(metric.distances_to(cs[s:s + rows], lifted) < 2.0 * r, s + 1)
-        for i, j in (np.argwhere(near) + (s, 0)).tolist():
-            edges.append((i, j))
-            adj[i].add(j)
-            adj[j].add(i)
+        block = np.argwhere(np.triu(metric.distances_to(cs[s:s + rows], lifted) < 2.0 * r, s + 1))
+        pairs.append(block + (s, 0))
+        near.append(metric.nearest_lifts([cs[i + s] for i in block[:, 0].tolist()],
+                                         lifted[block[:, 1]]))
+    e = np.concatenate(pairs)
+    # Edges are sorted, so pairing each (i, j) with the later (i, k) of its row lists triples in order.
+    later = np.searchsorted(e[:, 0], e[:, 0], side="right") - np.arange(len(e)) - 1
+    ij = np.repeat(np.arange(len(e)), later)
+    ik = ij + 1 + np.arange(len(ij)) - np.repeat(np.cumsum(later) - later, later)
+    closed = np.isin(e[ij, 1] * n + e[ik, 1], e[:, 0] * n + e[:, 1])
+    ij, ik = ij[closed], ik[closed]
     triangles = []
-    for i in range(n):
-        for j in sorted(adj[i]):
-            if j <= i:
-                continue
-            for k in sorted(adj[i] & adj[j]):
-                if k <= j:
-                    continue
-                if metric.minimax_radius(cs[i], lifted[j], lifted[k]) < r:
-                    triangles.append((i, j, k))
-    max_deg = max((len(a) for a in adj), default=0)
+    if len(ij):
+        near = np.concatenate(near)
+        inside = metric.minimax_radii([cs[i] for i in e[ij, 0].tolist()], near[ij], near[ik]) < r
+        triangles = [tuple(t) for t in np.column_stack((e[ij], e[ik, 1]))[inside].tolist()]
     bound = metric.ball_volume(2.5 * net.eps) / metric.ball_volume(net.eps / 2.0)
-    return NerveComplex(vertex_count=n, edges=edges, triangles=triangles,
-                        max_degree=max_deg, degree_bound_formula=bound)
+    return NerveComplex(vertex_count=n, edges=[tuple(p) for p in e.tolist()], triangles=triangles,
+                        max_degree=int(np.bincount(e.ravel(), minlength=n).max(initial=0)),
+                        degree_bound_formula=bound)
 
 
 # -- presentations ---------------------------------------------------------------
@@ -302,38 +314,51 @@ def presentation_from_nerve(complex_):
 
 def smith_normal_form(matrix):
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, as
-    Python ints.
+    Python ints; rows may be sequences or {column: entry} dicts.
 
-    Exact elimination over sparse rows {column: int}.  The pivot is an entry
-    of least magnitude.  Row operations clear its column; once the column is
-    clear, column operations clear its row and touch the pivot row alone.  A
-    nonzero remainder is smaller than the pivot and becomes the next pivot,
-    so the loop ends.  Pairwise gcd/lcm turns the diagonal into the chain.
+    Exact elimination over sparse rows {column: int}.  The pivot is the first
+    entry of least magnitude; the scan stops at the first unit.  Row
+    operations clear its column, in the rows a column index lists; once the
+    column is clear, column operations clear its row and touch the pivot row
+    alone.  A nonzero remainder is smaller than the pivot and becomes the next
+    pivot, so the loop ends.  Pairwise gcd/lcm turns the diagonal into the chain.
     """
-    rows = [r for r in ({j: int(x) for j, x in enumerate(row) if x} for row in matrix) if r]
+    rows = {t: r for t, r in enumerate(
+        {j: int(x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
+        for row in matrix) if r}
+    cols = defaultdict(set)
+    for t, r in rows.items():
+        for j in r:
+            cols[j].add(t)
     diagonal = []
     while rows:
-        top, j = min(((r, j) for r in rows for j in r), key=lambda rj: abs(rj[0][rj[1]]))
+        t, j = next(((t, j) for t, r in rows.items() for j, x in r.items() if abs(x) == 1),
+                    None) or min(((t, j) for t, r in rows.items() for j in r),
+                                 key=lambda tj: abs(rows[tj[0]][tj[1]]))
+        top = rows[t]
         p = top[j]
-        for r in rows:
-            if r is not top and j in r:
-                q = r[j] // p
-                for k, y in top.items():
-                    v = r.get(k, 0) - q * y
-                    if v:
-                        r[k] = v
-                    else:
-                        r.pop(k, None)
-        rows = [r for r in rows if r]
-        if any(j in r for r in rows if r is not top):
+        for u in [u for u in cols[j] if u != t]:
+            r, q = rows[u], rows[u][j] // p
+            for k, y in top.items():
+                v = r.get(k, 0) - q * y
+                if v:
+                    cols[k].add(u)
+                    r[k] = v
+                elif r.pop(k, 0):
+                    cols[k].discard(u)
+            if not r:
+                del rows[u]
+        if len(cols[j]) > 1:
             continue
         for k in [k for k in top if k != j]:
             top[k] %= p
             if not top[k]:
                 del top[k]
+                cols[k].discard(t)
         if len(top) == 1:
             diagonal.append(abs(p))
-            rows = [r for r in rows if r is not top]
+            del rows[t]
+            cols[j].discard(t)
     for i in range(len(diagonal)):
         for k in range(i + 1, len(diagonal)):
             g = gcd(diagonal[i], diagonal[k])
@@ -347,9 +372,9 @@ def abelianization(presentation):
     g = presentation.generator_count
     rows = []
     for rel in presentation.relators:
-        row = [0] * g
+        row = {}
         for letter in rel:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
+            row[abs(letter) - 1] = row.get(abs(letter) - 1, 0) + (1 if letter > 0 else -1)
         rows.append(row)
     divisors = smith_normal_form(rows)
     rank = g - len(divisors)
@@ -366,23 +391,26 @@ def word_count(generators):
 
 
 def count_presentations(c, v):
-    """Exact number of presentations with g <= ceil(cv) generators and a
-    multiset of k <= ceil(cv) relators, each a nonempty word of length <= 3.
+    """Exact number of presentations with g <= B = ceil(cv) generators and a
+    multiset of k <= B relators, each a nonempty word of length <= 3.
 
-    Counts presentations, not isomorphism classes.
+    With w words there are C(w + k - 1, k) multisets of size k, and the hockey
+    stick identity sums them over k <= B to C(w + B, B); w = 0 gives 1, the
+    empty multiset.  Counts presentations, not isomorphism classes.
     """
     if c <= 0 or v < 1:
         raise PreconditionError("need c > 0 and v >= 1")
     bound = ceil(c * v)
-    total = 0
-    for g in range(bound + 1):
-        w = word_count(g)
-        for k in range(bound + 1):
-            if w == 0:
-                total += 1 if k == 0 else 0
-            else:
-                total += comb(w + k - 1, k)
-    return total
+    return sum(comb(word_count(g) + bound, bound) for g in range(bound + 1))
+
+
+def decimal_digits(n):
+    """Decimal digits of the integer n >= 1 without str(n), which Python refuses
+    past 4300 digits: a bit-length bound below, raised against powers of 10."""
+    k = (n.bit_length() - 1) * 30102999566 // 10**11 + 1
+    while n >= 10**k:
+        k += 1
+    return k
 
 
 def growth_profile(c, v_list):
@@ -392,5 +420,5 @@ def growth_profile(c, v_list):
     for v in v_list:
         n = count_presentations(c, v)
         ratio = log(n) / (v * log(v)) if v > 1 else float("nan")
-        out.append({"v": v, "digits": len(str(n)), "ratio": ratio})
+        out.append({"v": v, "digits": decimal_digits(n), "ratio": ratio})
     return out

@@ -22,7 +22,7 @@ from latticelab.hyperbolic import (
     same_boundary_point,
     sequence_contraction_witness,
 )
-from latticelab.hyperboloid import h2_point_to_hyperboloid, normalize_point
+from latticelab.hyperboloid import h2_to_hyperboloid, normalize_point
 
 
 def arclength_distance_oracle(p, q):
@@ -127,7 +127,7 @@ def geodesic_midpoint(p, q):
     """Midpoint of the H^2 geodesic from p to q: the normalized sum of their
     hyperboloid points, read back in half-plane coordinates (y = 1/(t - a),
     x = b y)."""
-    t, a, b = normalize_point(h2_point_to_hyperboloid(p) + h2_point_to_hyperboloid(q))
+    t, a, b = normalize_point(h2_to_hyperboloid(p.z) + h2_to_hyperboloid(q.z))
     return HPoint(b / (t - a), 1.0 / (t - a))
 
 

@@ -74,7 +74,7 @@ def test_half_plane_conversion_is_isometric():
     for _ in range(50):
         p = HPoint(rng.uniform(-2, 2), rng.uniform(0.1, 4))
         q = HPoint(rng.uniform(-2, 2), rng.uniform(0.1, 4))
-        vp, vq = hb.h2_point_to_hyperboloid(p), hb.h2_point_to_hyperboloid(q)
+        vp, vq = hb.h2_to_hyperboloid(p.z), hb.h2_to_hyperboloid(q.z)
         assert abs(distance(p, q) - hb.hdistance(vp, vq)) < 1e-9
         t, a, b = vp
         back = HPoint(b / (t - a), 1.0 / (t - a))
@@ -91,8 +91,8 @@ def test_moebius_conversion_equivariant():
         g = MoebiusIsometry(tuple(m / math.sqrt(d)))
         lg = hb.from_moebius_h2(g)
         p = HPoint(rng.uniform(-2, 2), rng.uniform(0.2, 3))
-        assert np.allclose(hb.h2_point_to_hyperboloid(g.apply(p)),
-                           lg.apply(hb.h2_point_to_hyperboloid(p)), atol=1e-9)
+        assert np.allclose(hb.h2_to_hyperboloid(g.apply(p).z),
+                           lg.apply(hb.h2_to_hyperboloid(p.z)), atol=1e-9)
 
 
 def test_embedded_parabolic_flagged_numerical():

@@ -2,7 +2,8 @@ import dataclasses
 import itertools
 import math
 import random
-from math import comb
+import sys
+from math import ceil, comb, gcd
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -10,7 +11,54 @@ import pytest
 
 from latticelab import cli, hyperbolic, nerve, presets
 from latticelab.errors import CapExceededError, PreconditionError
+from latticelab.hyperboloid import h2_to_hyperboloid, hdistance, minkowski_form, \
+    normalize_point, q_inner
 from latticelab.wordballs import distances_h2
+
+
+# Scalar minimax radii, one triangle at a time: the oracles for the batched
+# `minimax_radii` of the metric contexts.
+
+def _euclid_minimax(pts):
+    """Radius of the minimal enclosing ball of three points of R^n.
+
+    Either half the longest side (when that midpoint ball already contains
+    the third point) or the circumradius.
+    """
+    p = [np.asarray(q, dtype=float) for q in pts]
+    dists = [(np.linalg.norm(p[i] - p[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
+    dmax, i, j = max(dists)
+    k = 3 - i - j
+    mid = (p[i] + p[j]) / 2.0
+    if np.linalg.norm(p[k] - mid) <= dmax / 2.0 + 1e-12:
+        return dmax / 2.0
+    # Circumcenter inside the plane of the triangle.
+    u = p[1] - p[0]
+    v = p[2] - p[0]
+    # Solve 2 (x - p0) . u = |u|^2, 2 (x - p0) . v = |v|^2 in the (u, v) frame.
+    g = np.array([[u @ u, u @ v], [u @ v, v @ v]])
+    rhs = 0.5 * np.array([u @ u, v @ v])
+    ab = np.linalg.solve(g, rhs)
+    center = p[0] + ab[0] * u + ab[1] * v
+    return float(np.linalg.norm(center - p[0]))
+
+
+def _h2_minimax(points):
+    """Minimal enclosing ball radius of three points of H^2, via the
+    hyperboloid model."""
+    v = [h2_to_hyperboloid(p.z) for p in points]
+    dists = [(hdistance(v[i], v[j]), i, j) for i in range(3) for j in range(i + 1, 3)]
+    dmax, i, j = max(dists)
+    k = 3 - i - j
+    if hdistance(normalize_point(v[i] + v[j]), v[k]) <= dmax / 2.0 + 1e-12:
+        return dmax / 2.0
+    # Equidistant point: Q-orthogonal to both difference vectors.
+    q = minkowski_form(2)
+    p = np.cross(q @ (v[0] - v[1]), q @ (v[0] - v[2]))
+    if q_inner(p, p) >= 0:
+        # No interior circumcenter; the midpoint candidates were exhaustive.
+        return dmax / 2.0
+    return hdistance(normalize_point(p), v[0])
 
 
 class EuclideanMetric:
@@ -22,8 +70,15 @@ class EuclideanMetric:
     def distances_to(self, xs, lifted):
         return np.linalg.norm(np.asarray(xs, float)[:, None] - lifted, axis=-1)
 
+    def nearest_lifts(self, xs, lifted):
+        return lifted
+
+    def minimax_radii(self, xs, ys, zs):
+        # The plane is the torus's cover: its minimax radii without the lifting.
+        return nerve.TorusMetric().minimax_radii(xs, ys, zs)
+
     def minimax_radius(self, x, y, z):
-        return nerve._euclid_minimax([x, y, z])
+        return _euclid_minimax([x, y, z])
 
     def ball_volume(self, r):
         return math.pi * r * r
@@ -157,10 +212,10 @@ def _loop_nerve(centers, r, metric):
 
     def minimax(x, y, z):
         if not isinstance(metric, nerve.SurfaceMetric):
-            return metric.minimax_radius(x, y, z)
+            return _euclid_minimax([x, y + np.round(x - y), z + np.round(x - z)])
         near = [hyperbolic.HPoint(complex(ts[int(np.argmin(distances_h2(x.z, ts)))]))
                 for ts in metric.lifts([y, z])]
-        return nerve._h2_minimax([x] + near)
+        return _h2_minimax([x] + near)
 
     adj = {i: {j for e in edges for j in e if i in e and j != i} for i in range(n)}
     triangles = [(i, j, k) for (i, j) in edges for k in sorted(adj[i] & adj[j])
@@ -273,11 +328,24 @@ def test_two_far_points_no_edges():
     assert not cx.edges
 
 
+@pytest.mark.parametrize("surface", [False, True], ids=["torus", "octagon"])
+def test_nerve_without_edges(surface, request):
+    if surface:
+        metric = request.getfixturevalue("octagon_surface")[1]
+        points = presets.default_region("octagon-genus2", 2)
+    else:
+        metric, points = nerve.TorusMetric(), [np.array([0.1, 0.1]), np.array([0.6, 0.6])]
+    assert metric.distances(points[0], points[1:])[0] >= 0.2
+    for centers in ([], points[:1], points):
+        cx = nerve.nerve(nerve.EpsNet(centers=centers, eps=0.1), 0.1, metric)
+        assert (cx.vertex_count, cx.edges, cx.triangles, cx.max_degree) == (len(centers), [], [], 0)
+
+
 def test_hyperbolic_minimax_agrees_with_known_midpoint():
     from latticelab.hyperbolic import HPoint, distance
     p1, p2 = HPoint(0, 1), HPoint(0, 4)
     p3 = HPoint(0, 2)   # on the geodesic between them
-    r = nerve._h2_minimax([p1, p2, p3])
+    r = _h2_minimax([p1, p2, p3])
     assert abs(r - distance(p1, p2) / 2) < 1e-10
 
 
@@ -300,11 +368,74 @@ def test_torus_nearest_lifts_match_the_lift_shell(x, y, z):
     ys = np.array([y, z])
     assert metric.distances(x, ys).tolist() == [
         np.min(np.linalg.norm(x - w + LIFT_SHELL, axis=1)) for w in ys]
-    shell = min(nerve._euclid_minimax([x, y + u, z + v]) for u in LIFT_SHELL for v in LIFT_SHELL)
+    u, v = np.repeat(LIFT_SHELL, len(LIFT_SHELL), axis=0), np.tile(LIFT_SHELL, (len(LIFT_SHELL), 1))
+    shell = metric.minimax_radii([x] * len(u), y + u, z + v).min()
     r = metric.minimax_radius(x, y, z)
     assert r >= shell
     if min(r, shell) < 0.25:
         assert r == shell
+    assert abs(r - _euclid_minimax([x, y + np.round(x - y), z + np.round(x - z)])) <= 1e-12
+
+
+# Seeded triples of every shape the midpoint test meets: generic, right-angled
+# (the third vertex on the midpoint circle), obtuse, collinear, coincident.
+# Radii are decided against the nerve radii 1.1 eps of the tests and the CLI.
+NERVE_RADII = (0.055, 0.11, 0.165, 0.22, 0.25, 0.385, 0.55, 0.605)
+
+
+def _torus_triples(rng):
+    """Triples at six seeded points x: generic, right-angled at x (legs along
+    the orthogonal e and f), obtuse at x, collinear, all three coincident, and
+    x = z."""
+    x = rng.uniform(0.0, 1.0, size=(6, 2))
+    c, s = np.cos(rng.uniform(0, 2 * math.pi, 6)), np.sin(rng.uniform(0, 2 * math.pi, 6))
+    a, b = rng.uniform(0.0, 0.2, 6)[:, None], rng.uniform(0.0, 0.2, 6)[:, None]
+    e, f = np.column_stack((c, s)), np.column_stack((-s, c))
+    ys = [x + rng.normal(0, 0.1, (6, 2)), x + a * e, x + a * e, x + a * e, x, x + a * e]
+    zs = [x + rng.normal(0, 0.1, (6, 2)), x + b * f, x - b * e + 0.3 * b * f, x + 0.5 * a * e,
+          x, x]
+    return [(x, y, z) for y, z in zip(ys, zs)]
+
+
+def test_torus_minimax_radii_match_the_scalar_oracle():
+    metric, rng = nerve.TorusMetric(), np.random.default_rng(28)
+    for _ in range(40):
+        for x, y, z in _torus_triples(rng):
+            y, z = np.mod(y, 1.0), np.mod(z, 1.0)
+            radii = metric.minimax_radii(x, metric.nearest_lifts(x, y), metric.nearest_lifts(x, z))
+            oracle = np.array([_euclid_minimax([a, b + np.round(a - b), c + np.round(a - c)])
+                               for a, b, c in zip(x, y, z)])
+            assert np.all(np.abs(radii - oracle) <= 1e-12)
+            for r in NERVE_RADII:
+                assert np.array_equal(radii < r, oracle < r)
+            assert [metric.minimax_radius(*t) for t in zip(x, y, z)] == radii.tolist()
+
+
+def _h2_triples(rng):
+    """Half-plane triples about i: generic, right-angled at i (the imaginary
+    axis meets the unit circle at right angles), obtuse at i, collinear on the
+    imaginary axis, and coincident."""
+    z = rng.uniform(-0.6, 0.6, 6) + 1j * np.exp(rng.uniform(-0.6, 0.6, 6))
+    up, down = 1j * np.exp(rng.uniform(0.05, 0.8, 6)), 1j * np.exp(-rng.uniform(0.05, 0.8, 6))
+    circle = np.exp(1j * rng.uniform(0.8, math.pi - 0.8, 6))
+    return [(z, z[::-1] + 0.3, z + 0.2j), (np.full(6, 1j), up, circle),
+            (np.full(6, 1j), up, down + 0.2), (up, down, np.full(6, 1j)),
+            (z, z, z), (z, z, up)]
+
+
+def test_surface_minimax_radii_match_the_scalar_oracle(octagon_surface):
+    _, metric = octagon_surface
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        for x, y, z in _h2_triples(rng):
+            xs = [hyperbolic.HPoint(complex(w)) for w in x]
+            radii = metric.minimax_radii(xs, y, z)
+            oracle = np.array([_h2_minimax([a, hyperbolic.HPoint(complex(b)),
+                                            hyperbolic.HPoint(complex(c))])
+                               for a, b, c in zip(xs, y, z)])
+            assert np.all(np.abs(radii - oracle) <= 1e-12)
+            for r in NERVE_RADII:
+                assert np.array_equal(radii < r, oracle < r)
 
 
 def test_torus_presentation_cli_rejects_radius_above_a_quarter(capsys):
@@ -494,6 +625,125 @@ def test_smith_normal_form_matches_determinantal_divisors():
     assert nerve.smith_normal_form(big) == _determinantal_divisors(big) == [1, 10**39 - 21]
 
 
+# The elimination before the column index, kept as an oracle: the pivot is
+# found by a scan of every entry, and each column is cleared by a scan of
+# every row.
+
+def _loop_smith_normal_form(matrix):
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix, as
+    Python ints.
+
+    Exact elimination over sparse rows {column: int}.  The pivot is an entry
+    of least magnitude.  Row operations clear its column; once the column is
+    clear, column operations clear its row and touch the pivot row alone.  A
+    nonzero remainder is smaller than the pivot and becomes the next pivot,
+    so the loop ends.  Pairwise gcd/lcm turns the diagonal into the chain.
+    """
+    rows = [r for r in ({j: int(x) for j, x in enumerate(row) if x} for row in matrix) if r]
+    diagonal = []
+    while rows:
+        top, j = min(((r, j) for r in rows for j in r), key=lambda rj: abs(rj[0][rj[1]]))
+        p = top[j]
+        for r in rows:
+            if r is not top and j in r:
+                q = r[j] // p
+                for k, y in top.items():
+                    v = r.get(k, 0) - q * y
+                    if v:
+                        r[k] = v
+                    else:
+                        r.pop(k, None)
+        rows = [r for r in rows if r]
+        if any(j in r for r in rows if r is not top):
+            continue
+        for k in [k for k in top if k != j]:
+            top[k] %= p
+            if not top[k]:
+                del top[k]
+        if len(top) == 1:
+            diagonal.append(abs(p))
+            rows = [r for r in rows if r is not top]
+    for i in range(len(diagonal)):
+        for k in range(i + 1, len(diagonal)):
+            g = gcd(diagonal[i], diagonal[k])
+            diagonal[i], diagonal[k] = g, diagonal[i] * diagonal[k] // g
+    return diagonal
+
+
+
+def _dict_rows(matrix):
+    return [{j: x for j, x in enumerate(row)} for row in matrix]
+
+
+def test_smith_normal_form_matches_the_scan_elimination():
+    rng = random.Random(28)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        bound = rng.choice([1, 2, 9, 10**6])
+        m = [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = 0
+        divisors = nerve.smith_normal_form(m)
+        assert divisors == _loop_smith_normal_form(m) == nerve.smith_normal_form(_dict_rows(m))
+        if rows <= 4 and cols <= 4:
+            assert divisors == _determinantal_divisors(m)
+
+
+def _rank_mod_prime(m, p=2**31 - 1):
+    """Rank of an integer matrix over GF(p), by dense row reduction."""
+    a = np.array(m, dtype=np.int64).reshape(len(m), -1) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, c])
+        if not len(nonzero):
+            continue
+        a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        below = a[rank + 1:, c:c + 1]
+        a[rank + 1:] = (a[rank + 1:] - below * a[rank] % p) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def _relator_matrix(pres):
+    m = [[0] * pres.generator_count for _ in pres.relators]
+    for row, rel in zip(m, pres.relators):
+        for letter in rel:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+    return m
+
+
+def _nerve_presentation(points, eps, r, metric):
+    return nerve.presentation_from_nerve(
+        nerve.nerve(nerve.build_eps_net(points, eps, metric), r, metric))
+
+
+@pytest.mark.parametrize("surface, count, eps", [
+    (False, 4000, 0.05), (False, 4000, 0.1), (False, 4000, 0.2), (False, 4000, 0.25),
+    (True, 1500, 0.5), (True, 8000, 0.25)])
+def test_smith_normal_form_of_nerve_matrices(surface, count, eps, request):
+    if surface:
+        metric = request.getfixturevalue("octagon_surface")[1]
+        pres = _nerve_presentation(presets.default_region("octagon-genus2", count), eps,
+                                   1.1 * eps, metric)
+    else:
+        pres = _nerve_presentation(presets.sample_torus(count), eps, min(1.1 * eps, 0.25),
+                                   nerve.TorusMetric())
+    m = _relator_matrix(pres)
+    divisors = nerve.smith_normal_form(m)
+    assert divisors == _loop_smith_normal_form(m)
+    rank, torsion = nerve.abelianization(pres)
+    assert (rank, torsion) == (pres.generator_count - len(divisors), [d for d in divisors if d > 1])
+    assert rank == pres.generator_count - _rank_mod_prime(m)
+
+
 # -- counting -----------------------------------------------------------------------
 
 def exhaustive_micro_count():
@@ -544,3 +794,57 @@ def test_growth_profile_window_and_drift():
     assert all(2.5 <= r <= 4.5 for r in ratios)
     for a, b in zip(ratios, ratios[1:]):
         assert abs(b - a) / a < 0.20
+
+
+def _loop_count_presentations(c, v):
+    """Exact number of presentations with g <= ceil(cv) generators and a
+    multiset of k <= ceil(cv) relators, each a nonempty word of length <= 3.
+
+    Counts presentations, not isomorphism classes.
+    """
+    if c <= 0 or v < 1:
+        raise PreconditionError("need c > 0 and v >= 1")
+    bound = ceil(c * v)
+    total = 0
+    for g in range(bound + 1):
+        w = nerve.word_count(g)
+        for k in range(bound + 1):
+            if w == 0:
+                total += 1 if k == 0 else 0
+            else:
+                total += comb(w + k - 1, k)
+    return total
+
+
+
+@pytest.mark.parametrize("c", [0.2, 0.5, 1, 1.3, 2])
+def test_count_presentations_matches_the_double_loop(c):
+    for v in range(1, 41):
+        assert nerve.count_presentations(c, v) == _loop_count_presentations(c, v)
+
+
+def _str_digits(n):
+    """len(str(n)) with Python's integer-string limit lifted for the call."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return len(str(n))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_digits_at_powers_of_ten_and_two():
+    for k in list(range(1, 40)) + [299, 4299, 4300, 4301, 4306, 9999]:
+        assert nerve.decimal_digits(10**k - 1) == k
+        assert nerve.decimal_digits(10**k) == nerve.decimal_digits(10**k + 1) == k + 1
+    for b in list(range(1, 200)) + [14300, 14301, 33219]:
+        for n in (2**b - 1, 2**b, 2**b + 1):
+            assert nerve.decimal_digits(n) == _str_digits(n)
+
+
+@pytest.mark.parametrize("c, v", [(1, 622), (2, 311)])
+def test_growth_profile_counts_digits_past_the_str_limit(c, v):
+    (row,) = nerve.growth_profile(c, [v])
+    assert row["digits"] == _str_digits(nerve.count_presentations(c, v)) == 4306
