@@ -1,18 +1,20 @@
 """Hyperboloid model of H^n for arbitrary n.
 
 Points are vectors x in R^{n+1} with Q(x, x) = -1 and x_0 > 0, where
-Q = diag(-1, 1, ..., 1).  Isometries are matrices preserving Q and the upper
-sheet.  There is no Moebius shortcut here, so classification combines
-eigenvalue structure with displacement minimization over a search grid; the
-parabolic verdict is flagged as numerical, not certified.
+Q = diag(-1, 1, ..., 1).  Isometries are plain (n+1) x (n+1) arrays that
+preserve Q and the upper sheet, O(n,1)^+.  `classify_lorentz` decides the
+trichotomy from the eigenvalues alone (Ratcliffe, Foundations of Hyperbolic
+Manifolds, section 4.7).  Floating point cannot tell a defective unit
+eigenvalue from a nearby split pair, so the parabolic verdict is flagged as
+numerical, not certified.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
-from . import hyperbolic, mat2
+from . import hyperbolic
 from .errors import InvalidPointError
 
 
@@ -43,47 +45,9 @@ def normalize_point(x):
 
 
 def hdistance(x, y):
-    return math.acosh(max(-q_inner(x, y), 1.0))
-
-
-class LorentzIsometry(mat2.Keyed):
-    """Matrix in O(n,1)^+ : preserves Q and the upper sheet."""
-
-    __slots__ = ("a", "n")
-
-    def __init__(self, a):
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0] - 1
-        q = minkowski_form(n)
-        err = np.linalg.norm(a.T @ q @ a - q)
-        if err > 1e-8:
-            raise ValueError("matrix does not preserve the Minkowski form (residual %g)" % err)
-        if a[0, 0] <= 0:
-            raise ValueError("matrix swaps the hyperboloid sheets")
-        self.a = a
-        self.n = n
-
-    def __mul__(self, other):
-        return LorentzIsometry(self.a @ other.a)
-
-    def inverse(self):
-        q = minkowski_form(self.n)
-        return LorentzIsometry(q @ self.a.T @ q)
-
-    def apply(self, x):
-        return self.a @ np.asarray(x, dtype=float)
-
-    def displacement(self, x):
-        return hdistance(self.apply(x), x)
-
-    def is_identity(self):
-        return np.linalg.norm(self.a - np.eye(self.n + 1)) <= 1e-9
-
-    def key_entries(self):
-        return tuple(self.a.ravel().tolist())
-
-    def __repr__(self):
-        return "LorentzIsometry(n=%d)" % self.n
+    """Hyperbolic distances between hyperboloid points, or between the rows
+    of two arrays of them."""
+    return np.arccosh(np.maximum(-q_inner(x, y), 1.0))
 
 
 _SYM_BASIS = (
@@ -98,7 +62,7 @@ def _sym_to_coords(s):
 
 
 def from_moebius_h2(g):
-    """SO(2,1) matrix of a real Moebius isometry.
+    """SO(2,1) matrix, a plain 3 x 3 array, of a real Moebius isometry.
 
     Uses the equivariant map z -> S_z = (1/y) [[x^2+y^2, x], [x, 1]] between
     the half-plane and unit-determinant positive matrices, on which g acts by
@@ -106,7 +70,7 @@ def from_moebius_h2(g):
     """
     m = np.array([[float(g.m[0]), float(g.m[1])], [float(g.m[2]), float(g.m[3])]])
     cols = [_sym_to_coords(m @ e @ m.T) for e in _SYM_BASIS]
-    return LorentzIsometry(np.column_stack(cols))
+    return np.column_stack(cols)
 
 
 def h2_to_hyperboloid(z):
@@ -117,56 +81,6 @@ def h2_to_hyperboloid(z):
 
 
 @dataclass
-class MinDisplacementSearch:
-    value: float
-    argmin: np.ndarray
-    radius: float
-    attained: bool       # heuristic: did the minimizer stay inside the grid?
-
-
-def min_displacement_search(g, radius=8.0, samples=400, seed=7):
-    """Coarse random search plus 40 rounds of greedy refinement of inf d_g.
-
-    `attained` is a heuristic flag: False when the search keeps improving by
-    pushing toward the boundary of the search ball, the numerical signature
-    of a parabolic infimum.
-    """
-    rng = np.random.default_rng(seed)
-    n = g.n
-    best_x, best = basepoint(n), g.displacement(basepoint(n))
-    for _ in range(samples):
-        u = rng.normal(size=n)
-        u /= np.linalg.norm(u)
-        r = rng.uniform(0, radius)
-        x = np.concatenate(([math.cosh(r)], math.sinh(r) * u))
-        d = g.displacement(x)
-        if d < best:
-            best, best_x = d, x
-    step = 0.5
-    for _ in range(40):
-        improved = False
-        for i in range(n):
-            for sgn in (1.0, -1.0):
-                spatial = best_x[1:].copy()
-                spatial[i] += sgn * step
-                cand = np.concatenate(([math.sqrt(1.0 + spatial @ spatial)], spatial))
-                d = g.displacement(cand)
-                if d < best - 1e-15:
-                    best, best_x, improved = d, cand, True
-        if not improved:
-            step /= 2
-            if step < 1e-9:
-                break
-    r_at_min = math.acosh(max(best_x[0], 1.0))
-    return MinDisplacementSearch(
-        value=best,
-        argmin=best_x,
-        radius=r_at_min,
-        attained=r_at_min < 0.9 * radius,
-    )
-
-
-@dataclass
 class LorentzClass:
     kind: str
     translation_length: float = 0.0
@@ -174,7 +88,6 @@ class LorentzClass:
     axis_directions: tuple = None      # pair of null eigenvectors for hyperbolic
     fixed_point: np.ndarray = None     # on the hyperboloid, for elliptic/identity
     certified: bool = True
-    evidence: dict = field(default_factory=dict)
 
 
 # Gate on the hyperbolic branch of classify_lorentz: defective parabolic
@@ -184,19 +97,29 @@ class LorentzClass:
 _EIG_GATE = 1e-4
 
 
-def classify_lorentz(g):
-    """Trichotomy in the hyperboloid model.
+def classify_lorentz(a):
+    """Trichotomy of the (n+1) x (n+1) array a in the hyperboloid model.
 
-    Eigenvalue structure decides: a real eigenvalue lambda > 1 (with its
-    inverse) on null eigenvectors gives the translation length log lambda; a
-    fixed timelike eigenvector gives an interior fixed point; spectral radius
-    one without a timelike fixed vector is parabolic.  The parabolic verdict
-    is cross-checked by displacement minimization and reported certified=False
-    (floating point cannot certify an unattained zero infimum).
+    a must preserve Q (Frobenius residual of a^T Q a - Q at most 1e-8) and
+    the upper sheet (a[0, 0] > 0), else ValueError.  Eigenvalue structure
+    decides: a real eigenvalue lambda > 1 (with its inverse) on null
+    eigenvectors gives the translation length log lambda; a fixed timelike
+    eigenvector gives an interior fixed point; spectral radius one without a
+    timelike fixed vector is parabolic, reported attained=False and
+    certified=False (floating point cannot certify an unattained zero
+    infimum).
     """
-    if g.is_identity():
-        return LorentzClass(kind=hyperbolic.IDENTITY, fixed_point=basepoint(g.n))
-    evals, evecs = np.linalg.eig(g.a)
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0] - 1
+    q = minkowski_form(n)
+    err = np.linalg.norm(a.T @ q @ a - q)
+    if err > 1e-8:
+        raise ValueError("matrix does not preserve the Minkowski form (residual %g)" % err)
+    if a[0, 0] <= 0:
+        raise ValueError("matrix swaps the hyperboloid sheets")
+    if np.linalg.norm(a - np.eye(n + 1)) <= 1e-9:
+        return LorentzClass(kind=hyperbolic.IDENTITY, fixed_point=basepoint(n))
+    evals, evecs = np.linalg.eig(a)
     lam_idx = int(np.argmax(np.abs(evals)))
     lam = evals[lam_idx]
     if abs(lam) > 1 + _EIG_GATE and abs(lam.imag) <= _EIG_GATE * abs(lam):
@@ -208,30 +131,11 @@ def classify_lorentz(g):
         v_minus = np.real(evecs[:, inv_idx])
         v_plus = v_plus if v_plus[0] > 0 else -v_plus
         v_minus = v_minus if v_minus[0] > 0 else -v_minus
-        return LorentzClass(
-            kind=hyperbolic.HYPERBOLIC,
-            translation_length=length,
-            axis_directions=(v_minus, v_plus),
-            evidence={"top_eigenvalue": float(abs(lam))},
-        )
+        return LorentzClass(kind=hyperbolic.HYPERBOLIC, translation_length=length,
+                            axis_directions=(v_minus, v_plus))
     # Spectral radius 1: elliptic iff some eigenvalue-1 eigenvector is timelike.
-    fixed_timelike = None
-    for i, ev in enumerate(evals):
-        if abs(ev - 1) <= 1e-6:
-            v = np.real(evecs[:, i])
-            if q_inner(v, v) < -1e-10:
-                fixed_timelike = normalize_point(v)
-                break
-    if fixed_timelike is not None:
-        return LorentzClass(kind=hyperbolic.ELLIPTIC, fixed_point=fixed_timelike)
-    result = min_displacement_search(g)
-    return LorentzClass(
-        kind=hyperbolic.PARABOLIC,
-        attained=False,
-        certified=False,
-        evidence={
-            "min_displacement_found": result.value,
-            "search_radius": result.radius,
-            "note": "inf displacement < tol without attained minimum up to search depth",
-        },
-    )
+    for i in np.flatnonzero(np.abs(evals - 1) <= 1e-6).tolist():
+        v = np.real(evecs[:, i])
+        if q_inner(v, v) < -1e-10:
+            return LorentzClass(kind=hyperbolic.ELLIPTIC, fixed_point=normalize_point(v))
+    return LorentzClass(kind=hyperbolic.PARABOLIC, attained=False, certified=False)

@@ -12,7 +12,7 @@ one row per point of ys (torus coordinates, or translates by a precomputed
 deck set); `distances_to(xs, lifted)`, the (len(xs), rows) distances through
 nearest lifts (torus y + round(x - y); on a surface arccosh of the least
 cosh-argument over the translates, bit for bit the least distance as
-`np.arccosh` is non-decreasing, tested), with its one-point form `distances`;
+`np.arccosh` is non-decreasing, tested);
 `nearest_lifts(xs, lifted)`, per row the lift nearest to xs[row]; and
 `minimax_radii(xs, ys, zs)`, the minimax radii of triangles with vertices ys,
 zs such lifts, in one array pass (on the torus with its one-triangle form
@@ -20,14 +20,14 @@ zs such lifts, in one array pass (on the torus with its one-triangle form
 H^2 triangles are solved on (N, 3) arrays in the hyperboloid model.
 """
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from math import ceil, comb, cosh, gcd, log, pi
 
 import numpy as np
 
 from .errors import CapExceededError, PreconditionError
-from .hyperboloid import h2_to_hyperboloid, minkowski_form, normalize_point, q_inner
+from .hyperboloid import h2_to_hyperboloid, hdistance, minkowski_form, normalize_point, q_inner
 from .wordballs import (cosh_distances_h2, displacement_pruned_ball, distances_h2,
                         moebius_apply_h2, stack_moebius)
 
@@ -61,17 +61,13 @@ def _euclid_circumradii(p, half):
     return np.linalg.norm(a[:, None] * u + b[:, None] * v, axis=-1)
 
 
-def _hdistances(x, y):
-    return np.arccosh(np.maximum(-q_inner(x, y), 1.0))
-
-
 def _h2_circumradii(v, half):
     # Equidistant point: Q-orthogonal to both difference vectors.  A spacelike
     # one has no interior circumcentre; the midpoint candidates were exhaustive.
     q = np.diag(minkowski_form(2))
     c = np.cross(q * (v[0] - v[1]), q * (v[0] - v[2]))
     inside = q_inner(c, c) < 0
-    half[inside] = _hdistances(normalize_point(c[inside]), v[0][inside])
+    half[inside] = hdistance(normalize_point(c[inside]), v[0][inside])
     return half
 
 
@@ -79,7 +75,7 @@ class TorusMetric:
     """Flat torus R^n / Z^n (unit periods), measured through nearest lifts.
 
     The lift of y nearest to x is y + round(x - y), because the Voronoi cell
-    of Z^n is the unit cube, so `distances` is exact at every scale.  A
+    of Z^n is the unit cube, so `distances_to` is exact at every scale.  A
     minimax radius below 1/4 is exact too: lifts that fit in a ball of
     radius r < 1/4 lie within 1/2 of x, hence are the nearest ones.  Above
     1/4 the value is only an upper bound, so nerves need r <= 1/4.
@@ -91,9 +87,6 @@ class TorusMetric:
     def distances_to(self, xs, lifted):
         d = np.asarray(xs, float)[:, None] - lifted
         return np.linalg.norm(d - np.round(d), axis=-1)
-
-    def distances(self, x, ys):
-        return self.distances_to([x], self.lifts(ys))[0]
 
     def nearest_lifts(self, xs, lifted):
         lifted = np.asarray(lifted, float)
@@ -135,9 +128,6 @@ class SurfaceMetric:
         z = np.array([x.z for x in xs])[:, None, None]
         return np.arccosh(np.maximum(cosh_distances_h2(z, lifted).min(axis=2), 1.0))
 
-    def distances(self, x, ys):
-        return self.distances_to([x], self.lifts(ys))[0]
-
     def nearest_lifts(self, xs, lifted):
         """Per row, the translate nearest to xs[row] by per-translate distance
         (unique when the relevant distances stay below half the systole)."""
@@ -147,7 +137,7 @@ class SurfaceMetric:
 
     def minimax_radii(self, xs, ys, zs):
         v = [h2_to_hyperboloid(w) for w in (np.array([x.z for x in xs]), ys, zs)]
-        return _minimax_radii(v, _hdistances, lambda a, b: normalize_point(a + b),
+        return _minimax_radii(v, hdistance, lambda a, b: normalize_point(a + b),
                               _h2_circumradii)
 
     def ball_volume(self, r):
@@ -266,40 +256,30 @@ def presentation_from_nerve(complex_):
 
     Spanning-tree edges carry the empty letter; each remaining edge is a
     generator; each triangle spells its boundary word, so every relator has
-    length at most 3 and the generator count is E - V + 1.
+    length at most 3 and the generator count is E - V + 1.  Edges and
+    triangles are the sorted tuples `nerve` returns.
     """
     n = complex_.vertex_count
-    adj = {}
-    for (i, j) in complex_.edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = {0} if n else set()
-    tree = set()
-    queue = [0] if n else []
+    adj = defaultdict(list)
+    for i, j in complex_.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    seen, tree = {0} if n else set(), set()
+    queue = deque(seen)
     while queue:
-        v = queue.pop(0)
-        for w in adj.get(v, []):
+        v = queue.popleft()
+        for w in adj[v]:
             if w not in seen:
                 seen.add(w)
-                tree.add((min(v, w), max(v, w)))
+                tree.add((v, w) if v < w else (w, v))
                 queue.append(w)
     if len(seen) != n:
         raise PreconditionError("nerve complex is disconnected; no presentation")
-    gen_index = {}
-    for (i, j) in complex_.edges:
-        key = (min(i, j), max(i, j))
-        if key not in tree and key not in gen_index:
-            gen_index[key] = len(gen_index) + 1
-    relators = []
-    for (i, j, k) in complex_.triangles:
-        word = []
-        for (x, y) in ((i, j), (j, k), (k, i)):
-            key = (min(x, y), max(x, y))
-            if key in tree:
-                continue
-            g = gen_index[key]
-            word.append(g if (x, y) == key else -g)
-        relators.append(tuple(word))
+    gen_index = {e: g for g, e in enumerate((e for e in complex_.edges if e not in tree), 1)}
+    # Boundary of (i, j, k): (i, j), (j, k), then (i, k) backwards.
+    relators = [tuple(sign * gen_index[e] for sign, e in ((1, (i, j)), (1, (j, k)), (-1, (i, k)))
+                      if e not in tree)
+                for i, j, k in complex_.triangles]
     pres = Presentation(
         generator_count=len(gen_index),
         relators=relators,

@@ -21,8 +21,8 @@ kernel (products, sign choice and keys as arrays, bit for bit what the scalar
 path computes).  Its float branch also normalizes determinants; its integer
 branch (SL(2, Z) and its integer conjugates) works in int64, and a chunk
 whose products might reach 2^62 goes to the scalar kernel, where Python ints
-carry on exactly.  Every other group (Fraction, complex, Euclidean, Lorentz)
-uses the scalar kernel, one product object per candidate.  Under a reach (an
+carry on exactly.  Every other group (Fraction, complex, Euclidean) uses
+the scalar kernel, one product object per candidate.  Under a reach (an
 H^2 point and a radius), both kernels drop every product that displaces the
 point beyond the radius before keying it, computing the displacements as one
 array from the same float entries (`_within`), so they drop the same
@@ -44,7 +44,7 @@ WORD_BALL_CAP = 10**6
 class FinitelyGeneratedGroup:
     """Generator list plus bookkeeping; inverse closure is added on demand.
 
-    Generators may be Moebius, Lorentz or Euclidean isometries; any
+    Generators may be Moebius or Euclidean isometries; any
     `mat2.Keyed` element with __mul__, inverse() and is_identity() works.
     Its elements are told apart by the identity rule, and enumerations of
     them stop under the cap rule (module docstring).  Moebius generators

@@ -84,6 +84,11 @@ class EuclideanMetric:
         return math.pi * r * r
 
 
+def _distances(metric, x, ys):
+    """Distances from x to each point of ys: the one-point `distances_to`."""
+    return metric.distances_to([x], metric.lifts(ys))[0]
+
+
 # -- eps nets -----------------------------------------------------------------
 
 def test_torus_net_at_coarse_scale_packing_bounds():
@@ -92,9 +97,9 @@ def test_torus_net_at_coarse_scale_packing_bounds():
     assert 2 <= len(net.centers) <= 4
     # Exhaustive grid check of separation and covering on a fine grid.
     for c1, c2 in itertools.combinations(net.centers, 2):
-        assert metric.distances(c1, [c2])[0] >= 0.6
+        assert _distances(metric, c1, [c2])[0] >= 0.6
     grid = [np.array([i / 40, j / 40]) for i in range(40) for j in range(40)]
-    worst = max(metric.distances(g, net.centers).min() for g in grid)
+    worst = max(_distances(metric, g, net.centers).min() for g in grid)
     assert worst <= 0.6 + 0.05   # cover up to one grid cell of slack
 
 
@@ -110,10 +115,10 @@ def test_net_separation_exact_on_stream():
     pts = presets.sample_torus(500)
     net = nerve.build_eps_net(pts, 0.25, metric)
     for c1, c2 in itertools.combinations(net.centers, 2):
-        assert metric.distances(c1, [c2])[0] >= 0.25
+        assert _distances(metric, c1, [c2])[0] >= 0.25
     # Maximality on the stream: every sample is within eps of some center.
     for p in pts:
-        assert metric.distances(p, net.centers).min() < 0.25
+        assert _distances(metric, p, net.centers).min() < 0.25
 
 
 def test_octagon_thick_part_net_respects_packing_bound(octagon_surface):
@@ -131,7 +136,7 @@ def _reference_net(points, eps, metric):
     """Greedy eps-net measured one (point, center) pair at a time."""
     centers = []
     for p in points:
-        if all(metric.distances(p, [c])[0] >= eps for c in centers):
+        if all(_distances(metric, p, [c])[0] >= eps for c in centers):
             centers.append(p)
     return centers
 
@@ -141,7 +146,7 @@ def _lift_per_sample_net(points, eps, metric):
     lifting every center again for every point."""
     centers = []
     for p in points:
-        if not centers or metric.distances(p, centers).min() >= eps:
+        if not centers or _distances(metric, p, centers).min() >= eps:
             centers.append(p)
     return centers
 
@@ -150,7 +155,7 @@ def _reference_edges(centers, r, metric):
     """Nerve edges measured one pair at a time, in lexicographic order."""
     n = len(centers)
     return [(i, j) for i in range(n) for j in range(i + 1, n)
-            if metric.distances(centers[i], [centers[j]])[0] < 2.0 * r]
+            if _distances(metric, centers[i], [centers[j]])[0] < 2.0 * r]
 
 
 @pytest.mark.parametrize("surface", [False, True], ids=["torus", "octagon"])
@@ -178,7 +183,7 @@ def test_surface_distances_match_the_nearest_deck_translate(octagon_surface):
     xs, ys = pts[:8], pts[8:]
     for x in xs:
         expected = [min(hyperbolic.distance(x, g.apply(y)) for g in metric.deck) for y in ys]
-        assert np.allclose(metric.distances(x, ys), expected, rtol=0, atol=1e-12)
+        assert np.allclose(_distances(metric, x, ys), expected, rtol=0, atol=1e-12)
 
 
 # The one-point loop, with each surface distance the least of the per-translate
@@ -262,7 +267,7 @@ def test_a_center_kept_mid_block_rejects_a_later_sample_of_its_block():
     second = [np.array([0.0, 0.02]) for _ in range(block)]
     second[block // 3], second[2 * block // 3] = q1, q2
     points = first + second
-    assert metric.distances(q2, [first[0]])[0] >= 0.1 > metric.distances(q2, [q1])[0]
+    assert _distances(metric, q2, [first[0]])[0] >= 0.1 > _distances(metric, q2, [q1])[0]
     net = nerve.build_eps_net(points, 0.1, metric)
     assert [id(c) for c in net.centers] == [id(first[0]), id(q1)]
     assert [id(c) for c in _loop_net(points, 0.1, metric)] == [id(first[0]), id(q1)]
@@ -335,7 +340,7 @@ def test_nerve_without_edges(surface, request):
         points = presets.default_region("octagon-genus2", 2)
     else:
         metric, points = nerve.TorusMetric(), [np.array([0.1, 0.1]), np.array([0.6, 0.6])]
-    assert metric.distances(points[0], points[1:])[0] >= 0.2
+    assert _distances(metric, points[0], points[1:])[0] >= 0.2
     for centers in ([], points[:1], points):
         cx = nerve.nerve(nerve.EpsNet(centers=centers, eps=0.1), 0.1, metric)
         assert (cx.vertex_count, cx.edges, cx.triangles, cx.max_degree) == (len(centers), [], [], 0)
@@ -364,9 +369,9 @@ torus_point = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(np.array)
 @given(torus_point, torus_point, torus_point)
 def test_torus_nearest_lifts_match_the_lift_shell(x, y, z):
     metric = nerve.TorusMetric()
-    assert metric.distances(x, [y])[0] == np.min(np.linalg.norm(x - y + LIFT_SHELL, axis=1))
+    assert _distances(metric, x, [y])[0] == np.min(np.linalg.norm(x - y + LIFT_SHELL, axis=1))
     ys = np.array([y, z])
-    assert metric.distances(x, ys).tolist() == [
+    assert _distances(metric, x, ys).tolist() == [
         np.min(np.linalg.norm(x - w + LIFT_SHELL, axis=1)) for w in ys]
     u, v = np.repeat(LIFT_SHELL, len(LIFT_SHELL), axis=0), np.tile(LIFT_SHELL, (len(LIFT_SHELL), 1))
     shell = metric.minimax_radii([x] * len(u), y + u, z + v).min()
