@@ -96,12 +96,12 @@ def crystallographic_analysis(gens, word_cutoff, element_cap=10**4, point_group_
     group = FinitelyGeneratedGroup(gens)
     n = gens[0].n
     try:
-        entries = _bfs(group.identity(), group.symmetric_generators(), radius=word_cutoff,
-                       cap=element_cap)
+        ball = _bfs(group.identity(), group.symmetric_generators(), radius=word_cutoff,
+                    cap=element_cap)
         cap_exceeded = False
     except CapExceededError as err:
-        entries, cap_exceeded = err.entries, True
-    elements = [e for _, e in entries]
+        ball, cap_exceeded = err.entries, True
+    elements = ball.elements
 
     translations = []
     point_parts = {}

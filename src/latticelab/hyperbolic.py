@@ -119,8 +119,8 @@ class MoebiusIsometry(mat2.Keyed):
     def from_canonical(cls, m, exact):
         """The element with flat entries m, already of determinant one and
         sign-canonical (as __init__ would leave them), taken as they are:
-        floats, or Python ints when `exact` (the integer branch of the
-        `wordballs` array kernel, whose products stay below 2^62)."""
+        floats, or Python ints when `exact` (the rows of the `wordballs`
+        array kernel, turned into elements when a ball is read)."""
         g = object.__new__(cls)
         g.m, g.exact = m, exact
         return g

@@ -28,29 +28,36 @@ class BallGeometry:
     batched displacements in blocks, each element's class (computed on first
     use, at most once), the translation lengths, and the short-element
     component rule of the thick-thin decomposition and the Margulis lemma.
+    Element i is the ball's row i + 1, built only to be classified or read.
     A ball with no nontrivial element is a PreconditionError."""
 
     def __init__(self, group, radius):
         self.radius = radius
-        ball = word_ball(group, radius)
-        self.words = [w for w, _ in ball.nontrivial()]
-        self.elements = [e for _, e in ball.nontrivial()]
-        if not self.elements:
+        self.ball = word_ball(group, radius)
+        if len(self.ball) < 2:
             raise PreconditionError("empty nontrivial ball")
         self._classes = {}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.ball) - 1
+
+    def word(self, i):
+        return self.ball.word(i + 1)
+
+    @cached_property
+    def elements(self):
+        return self.ball.elements[1:]
 
     @cached_property
     def stacked(self):
-        return stack_moebius(self.elements)
+        rows = self.ball.rows[1:]
+        return tuple(rows.astype(complex).T) if rows.ndim == 2 else stack_moebius(rows)
 
     def classify(self, i):
         """hyperbolic.classify of the i-th element."""
         cls = self._classes.get(i)
         if cls is None:
-            cls = self._classes[i] = hyperbolic.classify(self.elements[i])
+            cls = self._classes[i] = hyperbolic.classify(self.ball.element(i + 1))
         return cls
 
     @cached_property
@@ -110,7 +117,7 @@ def injectivity_radius(group, x, radius):
     bg = BallGeometry(group, radius)
     disp = bg.displacements(x)
     i = int(np.argmin(disp))
-    word = bg.words[i]
+    word = bg.word(i)
     return InjectivityRadius(
         value=0.5 * float(disp[i]),
         minimizer_word=word,
@@ -213,7 +220,7 @@ def thick_thin_scan(group, epsilon, samples, radius):
     thin_components, cone_components = [], []
     for cid, (kind, data) in enumerate(groups):
         widx = sorted(witnesses[cid])
-        words = [bg.words[i] for i in widx]
+        words = [bg.word(i) for i in widx]
         if kind == "tube":
             core = min(bg.classify(i).translation_length for i in widx)
             thin_components.append(ThinComponentReport(
@@ -270,7 +277,7 @@ def _psi_rows(bg, coords, epsilon, bump):
             i = short[c]
             if tc <= 1e-9 and bg.classify(i).attained:
                 return values + block[:r], DomainError(
-                    "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
+                    "point lies on the min-set of a short element (word %r)" % (bg.word(i),))
             block[r] += f(tc)
         values += block
     return values, None
@@ -455,15 +462,10 @@ def span_check(group, radius):
     if radius < 1:
         raise PreconditionError("ball radius must be >= 1")
     ball = word_ball(group, radius)
-    rows = []
-    complex_entries = any(e.is_complex for e in ball.elements)
-    for e in ball.elements:
-        v = [complex(x) for x in e.m]
-        if complex_entries:
-            rows.append([x.real for x in v] + [x.imag for x in v])
-        else:
-            rows.append([x.real for x in v])
-    dim = int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+    m = np.array([[complex(x) for x in e.m] for e in ball.elements])
+    if any(e.is_complex for e in ball.elements):
+        m = np.hstack([m.real, m.imag])
+    dim = int(np.linalg.matrix_rank(m.real, tol=1e-9))
     witness_word, witness = None, None
     for word, e in ball.nontrivial():
         t = complex(e.trace())

@@ -164,8 +164,7 @@ def _closure(gens, cap, label):
     """The finite group generated by `gens`, as the BFS from gens[0] by right
     multiplication by `gens` (gens[0] times the group is the group)."""
     steps = list(enumerate(gens))
-    return [m for _, m in _bfs(gens[0], steps, product=mat_mul, entries=_flat, cap=cap,
-                               label=label)]
+    return _bfs(gens[0], steps, product=mat_mul, entries=_flat, cap=cap, label=label).elements
 
 
 def close_under_multiplication(generators, cap=10**5):
@@ -327,7 +326,7 @@ def margulis_short_subgroup(group, x, epsilon, word_cutoff):
     idx = np.nonzero(bg.displacements(x) <= epsilon)[0].tolist()
     groups = []
     bg.components(idx, groups)
-    report = dict(short_words=[bg.words[i] for i in idx], epsilon=epsilon, cutoff=word_cutoff)
+    report = dict(short_words=[bg.word(i) for i in idx], epsilon=epsilon, cutoff=word_cutoff)
     if len(groups) != 1:
         kind = "not-elementary-within-cutoff" if groups else "trivial"
         return ShortSubgroupReport(kind=kind, **report)

@@ -13,23 +13,23 @@ Cap rule: every element the BFS keys, kept or pruned, counts towards the
 cap; past it CapExceededError carries the entries kept so far.  A candidate
 dropped by a reach (below) is never keyed, so it does not count.
 
-`_bfs` takes each layer's frontier `CHUNK` elements at a time.  A kernel
-turns a chunk into its candidates, the products by every step in (frontier,
-step) order, with their keys; one loop then dedups, tests and caps them.
-Real Moebius groups with all float, or all Python int, entries use a numpy
-kernel (products, sign choice and keys as arrays, bit for bit what the scalar
+`_bfs` holds its frontier and kept elements as a kernel's rows, and a
+kernel turns each `CHUNK`-row slice of the frontier into its candidates: the
+products by every step in (frontier, step) order, as rows, with their keys.
+One loop then dedups, tests and caps them.  Real Moebius groups with all
+float, or all Python int, entries use a numpy kernel whose rows are (N, 4)
+entry arrays (products, sign choice and keys bit for bit what the scalar
 path computes).  Its float branch also normalizes determinants; its integer
-branch (SL(2, Z) and its integer conjugates) works in int64, and a chunk
-whose products might reach 2^62 goes to the scalar kernel, where Python ints
-carry on exactly.  Every other group (Fraction, complex, Euclidean) uses
-the scalar kernel, one product object per candidate.  Under a reach (an
-H^2 point and a radius), both kernels drop every product that displaces the
-point beyond the radius before keying it, computing the displacements as one
-array from the same float entries (`_within`), so they drop the same
-candidates.
+branch works in int64, and a slice whose products might reach 2^62 goes to
+the scalar kernel, whose Python ints carry on exactly as object rows.  Other
+groups use the scalar kernel, whose rows are product objects.  The
+`WordBall` of the kept rows builds elements and words only when read.  Under
+a reach (an H^2 point and a radius), both kernels drop every product that
+displaces the point beyond the radius before keying it, computing the
+displacements as one array from the same float entries (`_within`).
 """
 
-from dataclasses import dataclass
+from functools import cached_property, partial
 import itertools
 import operator
 
@@ -138,7 +138,7 @@ def _add_new(seen, xs):
     return True
 
 
-# Frontier elements per kernel call.  A layer of a large ball holds tens of
+# Frontier rows per kernel call.  A layer of a large ball holds tens of
 # thousands of elements; taking it in chunks bounds the candidate arrays at
 # CHUNK * len(steps) rows instead of growing them with the layer.
 CHUNK = 256
@@ -154,10 +154,9 @@ _PACK_LIMIT = 2 ** 62
 
 # Straddle corners: _CORNERS[c] moves entry j across its boundary when bit
 # 3 - j of c is set.  An element whose near entries have bits b probes the
-# corners c != 0 inside b, at byte offsets _SUBCORNERS[b] of its packed block.
+# corners c != 0 inside b.
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=4)))
 _BITS = np.array([8, 4, 2, 1])
-_SUBCORNERS = [[32 * c for c in range(1, 16) if c & ~b == 0] for b in range(16)]
 
 
 def _pack(k):
@@ -165,9 +164,13 @@ def _pack(k):
     when every cell fits, else the tuple itself.  Packing depends on k alone,
     so packed keys are equal exactly when the tuples are, at a third of
     their memory."""
-    if all(abs(c) < _PACK_LIMIT for c in k):
-        return np.array(k, dtype=np.int64).tobytes()
-    return k
+    fits = all(abs(c) < _PACK_LIMIT for c in k)
+    return np.array(k, dtype=np.int64).tobytes() if fits else k
+
+
+def _packed_keys(q):
+    """The rows of the (..., 4) int64 array q as packed keys (`_pack`)."""
+    return np.ascontiguousarray(q).view("V32")[..., 0].tolist()
 
 
 def _within(m, reach):
@@ -183,50 +186,55 @@ def _within(m, reach):
 
 
 def _scalar_kernel(steps, product, entries, reach):
-    """Kernel building one product object per candidate.  A chunk's products
-    are all made before any is keyed, so a product that raises stops the
-    enumeration even where the cap would have stopped it a few candidates
-    earlier."""
+    """Kernel building one product object per candidate; its rows are 1-D
+    object arrays of elements.  A chunk's products are all made before any
+    is keyed, so a product that raises stops the enumeration even where the
+    cap would have stopped it a few candidates earlier."""
+    rows_of = partial(np.fromiter, dtype=object)
+
     def candidates(chunk):
-        made = [product(e, s) for _, e in chunk for _, s in steps]
+        made = [product(e, s) for e in chunk for _, s in steps]
         if reach is not None:
             m = np.array([w.m for w in made], dtype=float).reshape(-1, 4)
             made = [made[i] for i in _within(m, reach).tolist()]
         xs = [entries(w) for w in made]
         keys = [mat2.quantize(x) for x in xs]
-        return keys, made.__getitem__, lambda i, k: _straddle_keys(xs[i], k)
-    return (lambda x: mat2.quantize(entries(x))), candidates
+        near = {i: alt for i, alt in enumerate(map(_straddle_keys, xs, keys)) if alt}
+        return keys, rows_of(made), near
+    return (lambda x: mat2.quantize(entries(x))), rows_of, candidates, list
 
 
 def _moebius_kernel(steps, reach, exact):
     """Kernel for real Moebius steps, float or integer: the chunk's products,
     sign choice (as `mat2.canonicalize_sign`), reach filter and packed keys
-    (`_pack`) as arrays.  Float products are normalized to determinant one
-    in the float operations of MoebiusIsometry.__init__ and also carry
-    straddle alternates; integer products of determinant-one steps have
-    determinant exactly one and no cells.  A float chunk with a candidate the
-    scalar path would reject, or with a cell beyond int64, goes to the
-    scalar kernel, which raises or keys it; so does an integer chunk whose
-    products might reach 2^62 (2 X Y >= _PACK_LIMIT for the largest chunk and
-    step entries X and Y), whose Python ints then carry on exactly."""
+    (`_pack`) as arrays, rows of float, int64 or (past 2^62) Python int
+    entries.  Float products are normalized to determinant one in the float
+    operations of MoebiusIsometry.__init__ and also carry straddle
+    alternates; integer products of determinant-one steps have determinant
+    exactly one and no cells.  A float chunk with a candidate the scalar
+    path would reject, or with a cell beyond int64, goes to the scalar
+    kernel, which raises or keys it; so does an integer chunk whose products
+    might reach 2^62 (2 X Y >= _PACK_LIMIT for the largest chunk and step
+    entries X and Y)."""
     step_m = [s.m for _, s in steps]
     y = max((abs(x) for m in step_m for x in m), default=0) if exact else 0
     if 2 * y >= _PACK_LIMIT:    # every chunk would overflow
         return _scalar_kernel(steps, operator.mul, _KEY_ENTRIES, reach)
-    _, scalar = _scalar_kernel(steps, operator.mul, _KEY_ENTRIES, reach)
+    _, _, scalar, _ = _scalar_kernel(steps, operator.mul, _KEY_ENTRIES, reach)
     dtype, tol = (np.int64, 0) if exact else (float, mat2.SIGN_TOL)
     e, f, g, h = np.array(step_m, dtype=dtype).reshape(-1, 4).T
 
-    def fallback(chunk):
-        keys, element, alternates = scalar(chunk)
-        return (list(map(_pack, keys)), element,
-                lambda i, k: map(_pack, alternates(i, keys[i])))
+    def rows_of(xs):
+        m = np.array([x.m for x in xs], dtype=object if exact else float).reshape(-1, 4)
+        return m.astype(np.int64) if exact and not (np.abs(m) >= _PACK_LIMIT).any() else m
+
+    def elements_of(m):
+        return [hyperbolic.MoebiusIsometry.from_canonical(tuple(r), exact) for r in m.tolist()]
 
     def candidates(chunk):
-        ms = [x.m for _, x in chunk]
-        if exact and 2 * max(map(abs, itertools.chain.from_iterable(ms))) * y >= _PACK_LIMIT:
+        if exact and 2 * int(np.abs(chunk).max()) * y >= _PACK_LIMIT:
             return fallback(chunk)
-        a, b, c, d = np.array(ms, dtype=dtype).T[:, :, None]
+        a, b, c, d = chunk.astype(dtype).T[:, :, None]
         m = np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
                      axis=-1).reshape(-1, 4)
         if exact:
@@ -247,26 +255,21 @@ def _moebius_kernel(steps, reach, exact):
         if reach is not None:
             within = _within(m.astype(float), reach)
             m, big = m[within], big[within]
-        if exact:
-            q, alternates = m, lambda i, k: ()
-        else:
-            q, alternates = _straddle(m, big)
-        packed = q.tobytes()
-        keys = [packed[o:o + 32] for o in range(0, len(packed), 32)]
-        rows = m.tolist()
+        q, near = (m, {}) if exact else _straddle(m, big)
+        return _packed_keys(q), m, near
 
-        def element(i):
-            return hyperbolic.MoebiusIsometry.from_canonical(tuple(rows[i]), exact)
+    def fallback(chunk):
+        keys, made, near = scalar(elements_of(chunk))
+        return (list(map(_pack, keys)), rows_of(made),
+                {i: list(map(_pack, alt)) for i, alt in near.items()})
 
-        return keys, element, alternates
-
-    return (lambda x: _pack(mat2.quantize(x.m))), candidates
+    return (lambda x: _pack(mat2.quantize(x.m))), rows_of, candidates, elements_of
 
 
 def _straddle(m, big):
-    """(cells, alternates) of the float rows m with magnitudes big: the int64
-    cells of their entries, and alternates(i, k), the packed keys that row i
-    may round to across a cell boundary (as `_straddle_keys` finds them)."""
+    """(cells, near) of the float rows m with magnitudes big: the int64 cells
+    of their entries, and {i: the packed keys row i may round to across a
+    cell boundary} over the rows with any (as `_straddle_keys` finds them)."""
     x = m / mat2.GRID
     q = np.rint(x)
     off = x - q
@@ -275,28 +278,23 @@ def _straddle(m, big):
     turn = np.where((0.5 - np.abs(off)) <= _MARGIN * (1.0 + big), np.where(off > 0, 1, -1), 0)
     q = q.astype(np.int64)
     mask = (turn != 0) @ _BITS
-    near = np.flatnonzero(mask)
-    probe = (q[near, None, :] + _CORNERS * turn[near, None, :]).tobytes()
-    subs = [_SUBCORNERS[b] for b in mask[near].tolist()]
-    at = {i: (512 * j, subs[j]) for j, i in enumerate(near.tolist())}
-
-    def alternates(i, k):
-        if i not in at:
-            return ()
-        o, offsets = at[i]
-        return [probe[o + c:o + c + 32] for c in offsets]
-
-    return q, alternates
+    rows = np.flatnonzero(mask)
+    # Probe j is corner c[j] + 1 of row rows[r[j]]; each row's probes are a run.
+    r, c = np.nonzero((np.arange(1, 16) & ~mask[rows, None]) == 0)
+    probes = _packed_keys(q[rows[r]] + _CORNERS[c + 1] * turn[rows[r]])
+    runs = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
+    return q, {i: probes[a:b] for i, a, b in zip(rows.tolist(), runs, runs[1:])}
 
 
 def _kernel(start, steps, product, entries, reach):
-    """(key, candidates): the array kernel when start and steps are real
-    Moebius isometries under the default product and entries, all float or
-    all exact with Python int entries (the integer branch, guarded at 2^62),
-    else the scalar one.  key(x) keys one element; candidates(chunk) gives
-    the keys of the chunk's products in (frontier, step) order, less those a
-    reach drops (`_within`), the i-th of them as an element, and the
-    alternates of the i-th key for the straddle probe."""
+    """(key, rows_of, candidates, elements_of): the array kernel when start
+    and steps are real Moebius isometries under the default product and
+    entries, all float or all with Python int entries, else the scalar one.
+    key(x) keys one element; rows_of(xs) turns elements into the kernel's
+    rows and elements_of(rows) rows into elements.  candidates(rows) gives
+    the keys of the rows' products in (row, step) order, less those a reach
+    drops (`_within`), the products as rows, and {i: alternates of key i}
+    for the straddle probe."""
     xs = [start] + [s for _, s in steps]
     if (product is operator.mul and entries is _KEY_ENTRIES
             and all(type(x) is hyperbolic.MoebiusIsometry for x in xs)):
@@ -307,76 +305,119 @@ def _kernel(start, steps, product, entries, reach):
 
 
 def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=None,
-         test=None, label="enumeration", words=False, reach=None):
-    """Kept (word, element) pairs in BFS order from `start` (empty word) by
-    right multiplication product(e, s) over `steps`, a list of (label, s).
+         test=None, label="enumeration", reach=None):
+    """The WordBall of the elements kept in BFS order from `start` (empty
+    word) by right multiplication product(e, s) over `steps`, a list of
+    (label, s).  Stops after `radius` layers, or when the frontier empties.
 
-    Stops after `radius` layers, or when the frontier empties.  `test(w) ->
-    (expand, keep)` runs once per newly keyed element (default: both); an
-    element not expanded is not kept.  Words stay empty unless `words`.
+    `test(w) -> (expand, keep)` runs once per newly keyed element (default:
+    both); an element not expanded is not kept.  `reach` = (an H^2 point, a
+    radius), for real Moebius steps, drops every product that displaces the
+    point beyond the radius before it is keyed, so it is neither tested nor
+    counted towards `cap`; `test` must expand no such element.  Words are
+    tracked unless there is a test or a reach.
 
-    `reach` = (an H^2 point, a radius), for real Moebius steps, drops every
-    product that displaces the point beyond the radius before it is keyed,
-    so it is neither tested nor counted towards `cap`; `test` must expand no
-    such element.  Words are not tracked under a reach.
-
-    Each layer's frontier goes through the kernel (`_kernel`) CHUNK elements
-    at a time, so the kernel's arrays stay the same size however wide a layer
-    grows; one loop then walks the candidates in (frontier, step) order, so
-    the straddle probe and the cap see them as an element-by-element BFS
-    would, whichever kernel made them.
+    The kernel (`_kernel`) takes the frontier CHUNK rows at a time, so its
+    arrays stay the same size however wide a layer grows; one loop walks
+    the candidates in (frontier, step) order, as an element-by-element BFS
+    would.  Past the cap, the error carries the partial ball and, under a
+    radius, names the word length being built and the last complete radius.
     """
-    if reach is not None and words:
-        raise PreconditionError("words are not tracked under a reach")
-    key, candidates = _kernel(start, steps, product, entries, reach)
+    key, rows_of, candidates, elements_of = _kernel(start, steps, product, entries, reach)
+    n, words = len(steps), test is None and reach is None
     seen = {key(start)}
-    kept = [((), start)]
-    frontier = kept[:]
-    labels = [lab for lab, _ in steps]
-    n = len(steps)
-    layer = 0
-    while frontier and (radius is None or layer < radius):
+    kept, parent, step = [rows_of([start])], [np.zeros(1, np.intp)], [np.zeros(1, np.intp)]
+    frontier, layer = kept[0], 0
+
+    def ball():
+        return WordBall(np.concatenate(kept), elements_of, words and (
+            np.concatenate(parent), np.concatenate(step), [lab for lab, _ in steps]))
+
+    while len(frontier) and (radius is None or layer < radius):
         layer += 1
+        complete = sum(map(len, kept))    # rows kept within radius layer - 1
         nxt = []
         for lo in range(0, len(frontier), CHUNK):
-            chunk = frontier[lo:lo + CHUNK]
             try:
-                keys, element, alternates = candidates(chunk)
+                keys, made, near = candidates(frontier[lo:lo + CHUNK])
             except ValueError as exc:    # e.g. a float product off determinant one
                 raise PreconditionError("%s: a product of word length %d failed: %s"
                                         % (label, layer, exc)) from None
+            grow, keep, over = [], [], False
             for i, k in enumerate(keys):
-                if k in seen or not seen.isdisjoint(alternates(i, k)):
+                if k in seen or i in near and not seen.isdisjoint(near[i]):
                     continue
                 seen.add(k)
-                w = element(i)
-                expand, keep = test(w) if test else (True, True)
+                expand, keeps = test(elements_of(made[i:i + 1])[0]) if test else (True, True)
                 if expand:
-                    item = (chunk[i // n][0] + (labels[i % n],) if words else (), w)
-                    nxt.append(item)
-                    if keep:
-                        kept.append(item)
-                if len(seen) > cap:
-                    raise CapExceededError("%s exceeded %d elements" % (label, cap),
-                                           entries=kept)
-        frontier = nxt
-    return kept
+                    grow.append(i)
+                    if keeps and test:
+                        keep.append(i)
+                over = len(seen) > cap
+                if over:
+                    break
+            nxt.append(made[grow])
+            kept.append(made[keep] if test else nxt[-1])
+            if words:
+                sel = np.array(grow, dtype=np.intp)
+                parent.append(complete - len(frontier) + lo + sel // n)
+                step.append(sel % n)
+            if over:
+                at = (" at word length %d; radius %d is complete with %d elements"
+                      % (layer, layer - 1, complete) if radius is not None else "")
+                raise CapExceededError("%s exceeded %d elements%s" % (label, cap, at),
+                                       entries=ball())
+        frontier = np.concatenate(nxt)
+    return ball()
 
 
-@dataclass
 class WordBall:
-    radius: int
-    entries: list     # list of (word, element); word = tuple of signed generator labels
+    """The elements a BFS kept, in BFS order, as its kernel's rows.  Elements
+    and words are built from the rows when first read; `len()` counts rows.
+    Row i > 0 has its parent row's word and then its step's label; untracked
+    words are empty.  Iterating a ball gives its (word, element) entries."""
 
-    @property
+    def __init__(self, rows, elements_of, words):
+        self.rows, self._elements_of, self._words = rows, elements_of, words
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def element(self, i):
+        return self._elements_of(self.rows[i:i + 1])[0]
+
+    def word(self, i):
+        out = []
+        while i and self._words:
+            parent, step, labels = self._words
+            out.append(labels[step[i]])
+            i = parent[i]
+        return tuple(reversed(out))
+
+    @cached_property
     def elements(self):
-        return [e for _, e in self.entries]
+        return self._elements_of(self.rows)
+
+    @cached_property
+    def words(self):
+        if not self._words:
+            return [()] * len(self)
+        parent, step, labels = self._words
+        out = [()]
+        for p, s in zip(parent[1:].tolist(), step[1:].tolist()):
+            out.append(out[p] + (labels[s],))
+        return out
+
+    @cached_property
+    def entries(self):
+        """(word, element) pairs; word = tuple of signed generator labels."""
+        return list(zip(self.words, self.elements))
 
     def nontrivial(self):
         return [(w, e) for w, e in self.entries if w]
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def word_ball(group, radius, cap=WORD_BALL_CAP):
@@ -384,9 +425,8 @@ def word_ball(group, radius, cap=WORD_BALL_CAP):
     set, each present exactly once (identity included, empty word)."""
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
-    entries = _bfs(group.identity(), group.symmetric_generators(), radius=radius, cap=cap,
-                   label="word ball of radius %d" % radius, words=True)
-    return WordBall(radius=radius, entries=entries)
+    return _bfs(group.identity(), group.symmetric_generators(), radius=radius, cap=cap,
+                label="word ball of radius %d" % radius)
 
 
 # -- batched displacement -------------------------------------------------
@@ -468,6 +508,5 @@ def displacement_pruned_ball(group, base, keep, slack, cap=200000):
         d = hyperbolic.displacement(w, base)
         return d <= explore, d <= keep
 
-    entries = _bfs(group.identity(), sym, test=test, cap=cap, label="pruned orbit ball",
-                   reach=(base, explore) if real_h2 else None)
-    return [e for _, e in entries]
+    return _bfs(group.identity(), sym, test=test, cap=cap, label="pruned orbit ball",
+                reach=(base, explore) if real_h2 else None).elements

@@ -205,7 +205,8 @@ def test_ball_geometry_classifies_each_element_at_most_once(sl2z, monkeypatch):
     classify = hyperbolic.classify
 
     def counting(g):
-        calls[id(g)] += 1
+        # Keyed by entries: elements are built when read, so ids may repeat.
+        calls[g.m] += 1
         return classify(g)
 
     monkeypatch.setattr(hyperbolic, "classify", counting)
@@ -367,7 +368,7 @@ def scalar_psi(bg, x, epsilon, bump):
         t = float(disp[i] - lengths[i])
         if t <= 1e-9 and bg.classify(i).attained:
             raise DomainError(
-                "point lies on the min-set of a short element (word %r)" % (bg.words[i],))
+                "point lies on the min-set of a short element (word %r)" % (bg.word(i),))
         value += f(t)
     return value
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import functools
 import itertools
 import math
 import operator
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from latticelab import cli, mat2, nerve, presets, wordballs
+from latticelab import cli, lattice_lab, mat2, nerve, presets, wordballs
 from latticelab.errors import CapExceededError, PreconditionError
 from latticelab.euclidean import EuclideanIsometry
 from latticelab.hyperbolic import HPoint, MoebiusIsometry, displacement
@@ -173,12 +174,12 @@ def kernel_of(group):
 def first_array_candidate(group):
     """The first product the array kernel makes from the identity, or None
     when the group takes the scalar kernel."""
-    _, candidates = kernel_of(group)
+    _, rows_of, candidates, elements_of = kernel_of(group)
     if not candidates.__qualname__.startswith("_moebius_kernel"):
         return None
-    keys, element, _ = candidates([((), group.identity())])
+    keys, made, _ = candidates(rows_of([group.identity()]))
     assert all(type(k) is bytes for k in keys)
-    return element(0)
+    return elements_of(made[:1])[0]
 
 
 def takes_numpy_kernel(group):
@@ -195,10 +196,10 @@ def takes_int_kernel(group):
 
 def test_numpy_kernel_keys_are_quantize_keys_packed():
     group = presets.octagon_genus2()
-    key, candidates = kernel_of(group)
-    keys, element, _ = candidates(word_ball(group, 2).entries)
+    key, _, candidates, elements_of = kernel_of(group)
+    keys, made, _ = candidates(word_ball(group, 2).rows)
     assert [tuple(np.frombuffer(k, np.int64).tolist()) for k in keys] == [
-        mat2.quantize(element(i).m) for i in range(len(keys))]
+        mat2.quantize(e.m) for e in elements_of(made)]
     assert key(group.identity()) == np.array(mat2.quantize(group.identity().m)).tobytes()
 
 
@@ -317,6 +318,23 @@ def cap_error(run):
     return str(info.value), info.value.entries
 
 
+def test_straddle_probes_are_the_scalar_straddle_keys():
+    # Rows with random entries on a cell boundary (up to all four), probed
+    # as arrays and one row at a time by `_straddle_keys`.
+    rng = np.random.default_rng(62)
+    on_boundary = rng.random((500, 4)) < 0.5
+    offset = np.where(on_boundary, 0.5 + rng.uniform(-1e-9, 1e-9, (500, 4)),
+                      rng.uniform(-0.4, 0.4, (500, 4)))
+    m = (rng.integers(-10**6, 10**6, (500, 4)) + offset) * mat2.GRID
+    cells, near = wordballs._straddle(m, np.abs(m))
+    assert 0 < len(near) < 500
+    for i, row in enumerate(m.tolist()):
+        k = mat2.quantize(row)
+        assert tuple(cells[i].tolist()) == k
+        want = [wordballs._pack(c) for c in wordballs._straddle_keys(row, k)]
+        assert sorted(near.get(i, [])) == sorted(want)
+
+
 def test_numpy_kernel_trips_the_cap_where_the_scalar_kernel_does(monkeypatch):
     octagon, base = presets.octagon_genus2(), presets.octagon_center()
     sl2z = presets.sl2z()
@@ -325,6 +343,15 @@ def test_numpy_kernel_trips_the_cap_where_the_scalar_kernel_does(monkeypatch):
             lambda: word_ball(sl2z, 12, cap=500),
             lambda: displacement_pruned_ball(sl2z, HPoint(0.1, 1.7), 6, slack=2, cap=500)]
     batched = [cap_error(run) for run in runs]
+    # A word ball's cap error names the word length it was building and the
+    # last complete radius with its size.
+    assert [len(word_ball(g, r)) for g, r in ((octagon, 3), (sl2z, 9), (sl2z, 10))] == [
+        457, 460, 748]
+    assert [message for message, _ in batched[::2]] == [
+        "word ball of radius 4 exceeded 500 elements at word length 4; "
+        "radius 3 is complete with 457 elements",
+        "word ball of radius 12 exceeded 500 elements at word length 10; "
+        "radius 9 is complete with 460 elements"]
     use_scalar_kernel(monkeypatch)
     for run, (message, entries) in zip(runs, batched):
         want_message, want_entries = cap_error(run)
@@ -427,3 +454,85 @@ def test_keys_beyond_int64_take_the_scalar_kernel(monkeypatch):
                                             (-1, -1, -1)]
     use_scalar_kernel(monkeypatch)
     assert_same_entries(ball.entries, word_ball(group, 3).entries)
+
+
+# -- the array-backed ball ---------------------------------------------------------
+
+def array_ball_cases():
+    """(group, radius) pairs whose balls take the array kernel: the octagon
+    for r <= 4, three seeded float conjugates at r = 4, SL(2, Z) at r = 10,
+    an integer conjugate, and integer entries past 2^62."""
+    octagon, sl2z = presets.octagon_genus2(), presets.sl2z()
+    rng = np.random.default_rng(31)
+    cases = [(octagon, r) for r in range(5)]
+    cases += [(octagon.conjugated(small_translation(rng)), 4) for _ in range(3)]
+    cases += [(sl2z, 10), (sl2z.conjugated(random_sl2z(rng, 3)), 8),
+              (FinitelyGeneratedGroup([MoebiusIsometry(((2, 1), (1, 1)))]), 50)]
+    return cases
+
+
+def test_array_backed_ball_materializes_to_the_scalar_kernel_ball(monkeypatch):
+    cases = array_ball_cases()
+    balls = [word_ball(g, r) for g, r in cases]
+    walked = [[ball.word(i) for i in range(len(ball))] for ball in balls]
+    assert all(ball.rows.ndim == 2 for ball in balls)    # rows of entries
+    assert balls[-1].rows.dtype == object and balls[-2].rows.dtype == np.int64
+    for (g, _), ball in zip(cases, balls):
+        # Each word, multiplied out step by step, gives its element bit for bit.
+        steps = dict(g.symmetric_generators())
+        for w, e in ball:
+            assert functools.reduce(lambda x, label: x * steps[label], w, g.identity()).m == e.m
+    use_scalar_kernel(monkeypatch)
+    for (g, r), ball, words in zip(cases, balls, walked):
+        want = word_ball(g, r)
+        assert want.rows.ndim == 1    # elements
+        assert [(w, e.m) for w, e in ball] == [(w, e.m) for w, e in want.entries]
+        assert words == ball.words == [w for w, _ in want.entries]
+        assert_same_entries(ball.entries, want.entries)
+
+
+def test_a_ball_read_only_for_its_size_builds_no_element(monkeypatch):
+    built = []
+    make = MoebiusIsometry.from_canonical.__func__
+
+    def counting(cls, m, exact):
+        built.append(m)
+        return make(cls, m, exact)
+
+    monkeypatch.setattr(MoebiusIsometry, "from_canonical", classmethod(counting))
+    group = presets.octagon_genus2().conjugated(small_translation(np.random.default_rng(4)))
+    ball = word_ball(group, 4)
+    assert len(ball) == 3193 and built == []
+    assert ball.word(3192) and ball.element(3192).m == tuple(ball.rows[3192].tolist())
+    assert len(built) == 1
+    assert len(ball.elements) == 3193 and len(built) == 3194
+    built.clear()    # an injectivity radius classifies nothing, so builds nothing
+    assert lattice_lab.injectivity_radius(group, HPoint(0.1, 1.1), 3).minimizer_word
+    assert built == []
+
+
+def test_ball_geometry_stacks_its_rows_bit_for_bit():
+    fib = FinitelyGeneratedGroup([MoebiusIsometry(((2, 1), (1, 1)))])
+    for group, radius in ((presets.octagon_genus2(), 3), (presets.sl2z(), 6), (fib, 50)):
+        bg = lattice_lab.BallGeometry(group, radius)
+        got, want = bg.stacked, wordballs.stack_moebius(bg.elements)
+        assert len(got) == len(want) == 4
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype == complex
+            assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+def test_ball_experiments_match_the_scalar_kernel_on_seeded_points(monkeypatch):
+    rng = np.random.default_rng(1402)
+    points = [HPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)) for _ in range(30)]
+    octagon = presets.octagon_genus2()
+    conj = octagon.conjugated(small_translation(rng))
+    runs = [lambda: [lattice_lab.injectivity_radius(g, x, 3) for g in (octagon, conj)
+                     for x in points],
+            lambda: lattice_lab.thick_thin_scan(octagon, 3.2, points, 3),
+            lambda: lattice_lab.thick_thin_scan(presets.cyclic_hyperbolic(0.1), 0.5, points, 4),
+            lambda: lattice_lab.thick_thin_scan(presets.cusp_model(), 0.8, points, 5)]
+    got = [run() for run in runs]
+    assert all(any(c.samples for c in scan.thin_components) for scan in got[1:])
+    use_scalar_kernel(monkeypatch)
+    assert got == [run() for run in runs]
