@@ -281,17 +281,22 @@ def cmd_zassenhaus(args):
     dim = args.dim
     violations = 0
     worst_ratio = 0.0
-    for _ in range(args.pairs):
-        x = rng.normal(size=(dim, dim))
-        y = rng.normal(size=(dim, dim))
-        x *= args.epsilon * rng.uniform(0.2, 1.0) / np.linalg.norm(x)
-        y *= args.epsilon * rng.uniform(0.2, 1.0) / np.linalg.norm(y)
-        a, b = np.eye(dim) + x, np.eye(dim) + y
-        lhs = smallness.frobenius_to_identity(smallness.commutator(a, b))
-        rhs = 8.0 * np.linalg.norm(x) * np.linalg.norm(y)
-        worst_ratio = max(worst_ratio, lhs / rhs if rhs else 0.0)
-        if lhs > rhs:
-            violations += 1
+    for done in range(0, args.pairs, lattice_lab.ROW_BLOCK):
+        # Per pair, in draw order: x, y (as normal() draws them), their scales.
+        k = min(lattice_lab.ROW_BLOCK, args.pairs - done)
+        xy, scale = np.empty((k, 2, dim, dim)), np.empty((k, 2))
+        for i in range(k):
+            rng.standard_normal(out=xy[i])
+            scale[i] = rng.uniform(0.2, 1.0, size=2)
+        rows = xy.reshape(2 * k, -1)             # x and y of each pair, flattened
+        rows *= (args.epsilon * scale.ravel() / lattice_lab.row_norms(rows))[:, None]
+        norms = lattice_lab.row_norms(rows).reshape(k, 2)
+        c = smallness.commutator(np.eye(dim) + xy[:, 0], np.eye(dim) + xy[:, 1]) - np.eye(dim)
+        lhs = np.sqrt((np.abs(c) ** 2).reshape(k, -1).sum(axis=1))   # frobenius_to_identity's sum
+        rhs = 8.0 * norms[:, 0] * norms[:, 1]
+        ratio = np.divide(lhs, rhs, out=np.zeros(k), where=rhs != 0)
+        worst_ratio = max(worst_ratio, np.fmax.reduce(ratio))
+        violations += int((lhs > rhs).sum())
     ladder = smallness.commutator_ladder(
         [np.eye(2) + args.epsilon / 2.0 * np.array([[0.0, 1.0], [0.0, 0.0]]),
          np.eye(2) + args.epsilon / 2.0 * np.array([[0.0, 0.0], [1.0, 0.0]])],

@@ -408,6 +408,15 @@ def genus_area_exact(genus):
 
 # -- recurrence --------------------------------------------------------------
 
+# Rows per array pass over a loop's items, so memory stays flat in its length.
+ROW_BLOCK = 1024
+
+
+def row_norms(rows):
+    """np.linalg.norm of each row, bit for bit: the same dot product, stacked."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
+
+
 def recurrence_search_real(v, epsilon, horizon):
     """All n <= horizon whose multiple n v returns within 2 eps of the integer
     lattice (the eps-ball pigeonhole witness in R^k / Z^k)."""
@@ -415,10 +424,10 @@ def recurrence_search_real(v, epsilon, horizon):
         raise PreconditionError("horizon must be >= 1")
     v = np.atleast_1d(np.asarray(v, dtype=float))
     hits = []
-    for n in range(1, horizon + 1):
-        w = n * v
-        if np.linalg.norm(w - np.round(w)) < 2.0 * epsilon:
-            hits.append(n)
+    for start in range(1, horizon + 1, ROW_BLOCK):
+        ns = np.arange(start, min(start + ROW_BLOCK, horizon + 1))
+        w = ns[:, None] * v
+        hits += ns[row_norms(w - np.round(w)) < 2.0 * epsilon].tolist()
     return hits
 
 

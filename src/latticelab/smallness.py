@@ -39,8 +39,8 @@ def mat_key(m):
 # -- commutators and ladders -----------------------------------------------------
 
 def commutator(a, b):
-    """a b a^-1 b^-1, exact when the inputs are exact."""
-    if mat_dim(a) != mat_dim(b):
+    """a b a^-1 b^-1 (of each pair in numpy stacks), exact when the inputs are exact."""
+    if len(a[-1]) != len(b[-1]):
         raise PreconditionError("dimension mismatch")
     return mat_mul(mat_mul(a, b), mat_mul(mat_inv(a), mat_inv(b)))
 
@@ -156,10 +156,6 @@ def _flat(m):
     return tuple(np.asarray(m).ravel().tolist())
 
 
-def _key(m):
-    return mat2.quantize(_flat(m))
-
-
 def _closure(gens, cap, label):
     """The finite group generated by `gens`, as the BFS from gens[0] by right
     multiplication by `gens` (gens[0] times the group is the group)."""
@@ -174,12 +170,27 @@ def close_under_multiplication(generators, cap=10**5):
     return _closure(gens, cap, "closure")
 
 
-def _check_closed(elements):
-    keys = {_key(m) for m in elements}
-    for a in elements:
-        for b in elements:
-            if _key(mat_mul(a, b)) not in keys:
-                raise PreconditionError("set is not closed under multiplication")
+def _row_keys(stack):
+    """Identity-rule keys of an (N, d, d) stack, one per matrix: exact rows as tuples,
+    float and complex parts as bytes of multiples of GRID rounded as `mat2.quantize` does."""
+    if stack.dtype.kind not in "fc":
+        return map(tuple, stack.reshape(len(stack), -1).tolist())
+    rows = stack.astype(np.promote_types(stack.dtype, float)).view(float).reshape(len(stack), -1)
+    rows = np.rint(rows / mat2.GRID) + 0.0          # + 0.0 folds -0.0 into 0.0
+    return rows.view(np.dtype((np.void, rows[0].nbytes))).ravel().tolist()
+
+
+def _cayley_table(elements):
+    """The (n, n) indices of elements[i] elements[j] under the identity rule, from
+    one broadcast product; raises when a product falls outside the set."""
+    n = len(elements)
+    stack = np.array([np.asarray(m) for m in elements])
+    index = {k: i for i, k in enumerate(_row_keys(stack))}
+    products = (stack[:, None] @ stack[None]).reshape(n * n, *stack.shape[1:])
+    table = [index.get(k) for k in _row_keys(products)]
+    if None in table:
+        raise PreconditionError("set is not closed under multiplication")
+    return np.array(table).reshape(n, n)
 
 
 @dataclass
@@ -198,15 +209,15 @@ def jordan_abelian_index(elements, epsilon):
     Small generators land in a commutator-contraction neighborhood, so the
     subgroup they generate is abelian; the report verifies commutativity
     outright.  Cross-check against `max_abelian_index_bruteforce`, which can
-    only do better.
+    only do better; both decide over one Cayley table (`_cayley_table`).
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive")
-    _check_closed(elements)
     # The identity is at distance 0, so it is a seed whenever it is present.
     seeds = [m for m in elements if frobenius_to_identity(m) <= epsilon]
     if not seeds:
         raise PreconditionError("identity missing from the group")
+    _cayley_table(elements)
     sub = _closure(seeds, len(elements), "subgroup closure")
     abelian = True
     for i, a in enumerate(sub):
@@ -226,11 +237,11 @@ def max_abelian_index_bruteforce(elements):
     """Exhaustive search for the largest abelian subgroup; returns
     (best index, best size).  Feasible for desk-scale groups (|F| <= a few
     hundred): grow each cyclic subgroup by every commuting element, closing
-    as we go, and deduplicate subgroups by their element sets."""
+    as we go, and deduplicate subgroups by their element sets, reading
+    products and commutation off the Cayley table Jordan decides over."""
     n = len(elements)
-    keys = {_key(m): i for i, m in enumerate(elements)}
-    table = [[keys[_key(mat_mul(a, b))] for b in elements] for a in elements]
-    commute = [[table[i][j] == table[j][i] for j in range(n)] for i in range(n)]
+    cayley = _cayley_table(elements)
+    table, commute = cayley.tolist(), (cayley == cayley.T).tolist()
 
     def close_idx(idx_set):
         out = set(idx_set)

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import latticelab
-from latticelab import cli
+from latticelab import cli, lattice_lab, smallness
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticelab.__file__)))
 
@@ -152,3 +154,45 @@ def test_classify_a_hyperbolic_element_with_entries_near_the_float_limit(capsys)
                                capsys))["result"]
     assert result["class"] == "hyperbolic"
     assert result["translation_length"] == pytest.approx(2 * math.log(1e300), rel=1e-12)
+
+
+def loop_zassenhaus(seed, dim, pairs, epsilon):
+    """(violations, worst ratio) of `zassenhaus`, pair by pair, as the
+    command ran before it went by blocks of pairs."""
+    rng = np.random.default_rng(seed)
+    violations, worst_ratio = 0, 0.0
+    for _ in range(pairs):
+        x = rng.normal(size=(dim, dim))
+        y = rng.normal(size=(dim, dim))
+        x *= epsilon * rng.uniform(0.2, 1.0) / np.linalg.norm(x)
+        y *= epsilon * rng.uniform(0.2, 1.0) / np.linalg.norm(y)
+        lhs = smallness.frobenius_to_identity(smallness.commutator(np.eye(dim) + x, np.eye(dim) + y))
+        rhs = 8.0 * np.linalg.norm(x) * np.linalg.norm(y)
+        worst_ratio = max(worst_ratio, lhs / rhs if rhs else 0.0)
+        violations += int(lhs > rhs)
+    return violations, worst_ratio
+
+
+@pytest.mark.parametrize("epsilon", ["0.2", "2"])
+@pytest.mark.parametrize("pairs", [1, 7, lattice_lab.ROW_BLOCK + 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zassenhaus_matches_the_pairwise_loop(dim, pairs, epsilon, capsys):
+    for seed in range(10):
+        result = json.loads(report(["zassenhaus", "--seed", str(seed), "--dim", str(dim),
+                                    "--pairs", str(pairs), "--epsilon", epsilon], capsys))["result"]
+        violations, worst_ratio = loop_zassenhaus(seed, dim, pairs, float(epsilon))
+        assert json.dumps(result) == json.dumps(dict(result, violations=violations,
+                                                     worst_ratio=worst_ratio))
+    if (dim, pairs, epsilon) == (3, lattice_lab.ROW_BLOCK + 3, "2"):
+        assert violations > 0
+
+
+def test_zassenhaus_memory_is_bounded_by_the_block(capsys):
+    tracemalloc.start()
+    try:
+        result = json.loads(report(["zassenhaus", "--pairs", "200000"], capsys))["result"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result["pairs"], result["violations"]) == (200000, 0)
+    assert peak < 8 * 2**20

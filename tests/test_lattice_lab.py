@@ -563,6 +563,43 @@ def test_recurrence_irrational_nonempty():
     assert hits[0] == first
 
 
+def loop_recurrence_search_real(v, epsilon, horizon):
+    """One norm per n, as the search ran before it went by blocks."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    return [n for n in range(1, horizon + 1)
+            if np.linalg.norm(n * v - np.round(n * v)) < 2.0 * epsilon]
+
+
+@pytest.mark.parametrize("v", [math.sqrt(2) - 1, 0.5, [0.5], [math.sqrt(2), math.sqrt(3)],
+                               [1 / 3, math.pi, math.e]], ids=str)
+def test_recurrence_search_real_matches_the_loop(v):
+    rng = np.random.default_rng(3)
+    block = lab.ROW_BLOCK
+    for epsilon in (1e-9, *rng.uniform(1e-4, 0.2, size=3)):
+        full = loop_recurrence_search_real(v, epsilon, 2 * block + 17)
+        for horizon in (1, 2, block, block + 1, 2 * block + 17):
+            assert lab.recurrence_search_real(v, epsilon, horizon) == [n for n in full if n <= horizon]
+    near = lab.recurrence_search_real(v, 0.2, 2 * block + 17)
+    assert near[-1] > block                   # hits on both sides of a block boundary
+
+
+def test_row_norms_are_numpy_norms_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for width in range(1, 17):
+        rows = rng.normal(size=(500, width)) * rng.uniform(0, 10, size=(500, 1))
+        assert lab.row_norms(rows).tolist() == [np.linalg.norm(r) for r in rows]
+
+
+def test_recurrence_search_memory_is_bounded_by_the_block():
+    tracemalloc.start()
+    try:
+        assert lab.recurrence_search_real(math.sqrt(2) - 1, 1e-9, 2_000_000) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_recurrence_sl2z_rotation_hits():
     theta = 1.0
     c, s = math.cos(theta / 2), math.sin(theta / 2)

@@ -164,6 +164,27 @@ def test_jordan_rejects_non_closed_set():
         sm.jordan_abelian_index(a5[:10], 0.5)
 
 
+def test_cayley_table_is_the_pairwise_product_table(a5_group):
+    turn = 2 * math.pi / 7
+    groups = {
+        "a5": a5_group,
+        "q8": sm.quaternion_group_su2(),
+        "7-fold rotations": sm.close_under_multiplication(
+            [sm.mat_from([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])]),
+        "exact quarter turns": sm.close_under_multiplication([sm.mat_from([[0, -1], [1, 0]])]),
+    }
+    assert sorted(map(len, groups.values())) == [4, 7, 8, 60]
+    key = lambda m: mat2.quantize(sm._flat(m))
+    for name, elements in groups.items():
+        index = {key(m): i for i, m in enumerate(elements)}
+        pairwise = [[index[key(mat2.mat_mul(a, b))] for b in elements] for a in elements]
+        assert sm._cayley_table(elements).tolist() == pairwise, name
+    with pytest.raises(PreconditionError, match="not closed"):
+        sm._cayley_table(a5_group[:10])
+    with pytest.raises(PreconditionError, match="not closed"):
+        sm.max_abelian_index_bruteforce(a5_group[:10])
+
+
 # -- short subgroups --------------------------------------------------------------------
 
 def test_short_subgroup_parabolic_high_in_cusp(sl2z):
