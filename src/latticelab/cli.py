@@ -297,10 +297,14 @@ def cmd_zassenhaus(args):
         ratio = np.divide(lhs, rhs, out=np.zeros(k), where=rhs != 0)
         worst_ratio = max(worst_ratio, np.fmax.reduce(ratio))
         violations += int((lhs > rhs).sum())
-    ladder = smallness.commutator_ladder(
-        [np.eye(2) + args.epsilon / 2.0 * np.array([[0.0, 1.0], [0.0, 0.0]]),
-         np.eye(2) + args.epsilon / 2.0 * np.array([[0.0, 0.0], [1.0, 0.0]])],
-        levels=args.levels)
+    try:
+        ladder = smallness.commutator_ladder(
+            [np.eye(2) + args.epsilon / 2.0 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+             np.eye(2) + args.epsilon / 2.0 * np.array([[0.0, 0.0], [1.0, 0.0]])],
+            levels=args.levels)
+    except PreconditionError as exc:
+        raise PreconditionError("%s at --epsilon %g; lower --epsilon or --levels"
+                                % (exc, args.epsilon)) from None
     return {
         "pairs": args.pairs,
         "violations": violations,

@@ -228,7 +228,10 @@ def _gauss_jordan(m, right):
 
 def mat_inv(m):
     if not mat_is_exact(m):
-        return np.linalg.inv(m)
+        try:
+            return np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            raise PreconditionError("singular matrix") from None
     _, inv = _gauss_jordan(m, mat_identity(len(m)))
     if inv is None:
         raise PreconditionError("singular matrix")

@@ -22,7 +22,7 @@ H^2 triangles are solved on (N, 3) arrays in the hyperboloid model.
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from math import ceil, comb, cosh, gcd, log, pi
+from math import ceil, comb, cosh, gcd, isqrt, log, pi
 
 import numpy as np
 
@@ -85,8 +85,16 @@ class TorusMetric:
         return np.asarray(ys, float)
 
     def distances_to(self, xs, lifted):
-        d = np.asarray(xs, float)[:, None] - lifted
-        return np.linalg.norm(d - np.round(d), axis=-1)
+        """Column by column, squares summed in order: bit for bit the norm of
+        d - round(d), as numpy reduces an axis shorter than 8 in that order."""
+        xs = np.asarray(xs, float)
+        total = np.zeros((len(xs), len(lifted)))
+        for k in range(lifted.shape[-1]):
+            d = xs[:, k, None] - lifted[:, k]
+            d -= np.round(d)
+            d *= d
+            total += d
+        return np.sqrt(total, out=total)
 
     def nearest_lifts(self, xs, lifted):
         lifted = np.asarray(lifted, float)
@@ -152,10 +160,8 @@ class EpsNet:
     eps: float
 
 
-# Most centers an eps-net may hold; most points, and point x lifted entries,
-# per blocked distance call.
+# Most centers an eps-net may hold; most entries per blocked distance call.
 _NET_CAP = 10**4
-_NET_BLOCK = 64
 _NET_ENTRIES = 2 ** 15
 
 
@@ -164,28 +170,37 @@ def build_eps_net(points, eps, metric):
 
     The result is eps-separated and, relative to the sampled stream, maximal
     (every rejected point certifies its own eps-cover).  One call measures a
-    block of the stream against the centers kept before it; each survivor is
-    then measured, in order, against those kept earlier in its block.  Every
-    distance is the one-point loop's float, so the centers are the loop's."""
+    block of the stream against the centers kept before it, one more its
+    survivors against each other; walking that matrix keeps a survivor iff no
+    survivor kept earlier in the block is within eps.  Every distance is the
+    one-point loop's float, so the centers are the loop's.  A block holds at
+    most `_NET_ENTRIES // lifted.size` and isqrt(_NET_ENTRIES // L) points, L
+    the lift size of one point, so no call builds over `_NET_ENTRIES` entries."""
     if eps <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % eps)
     points = list(points)
-    centers, lifted, start = [], metric.lifts(points[:1])[:0], 0
+    one = metric.lifts(points[:1])
+    centers, lifted, start = [], one[:0], 0
+    square = isqrt(_NET_ENTRIES // max(1, one.size))
     while start < len(points):
-        block = points[start:start + max(1, min(_NET_BLOCK, _NET_ENTRIES // max(1, lifted.size)))]
-        far = metric.distances_to(block, lifted).min(axis=1, initial=np.inf) >= eps
-        new = lifted[:0]
-        for k in np.flatnonzero(far).tolist():
-            if len(new) and metric.distances_to([block[k]], new).min() < eps:
+        block = points[start:start + max(1, min(square, _NET_ENTRIES // max(1, lifted.size)))]
+        far = start + np.flatnonzero(
+            metric.distances_to(block, lifted).min(axis=1, initial=np.inf) >= eps)
+        start += len(block)
+        if not len(far):
+            continue
+        survivors = [points[k] for k in far.tolist()]
+        new, kept = metric.lifts(survivors), []
+        for i, row in enumerate((metric.distances_to(survivors, new) < eps).tolist()):
+            if any(row[j] for j in kept):
                 continue
-            centers.append(block[k])
-            new = np.concatenate((new, metric.lifts([block[k]])))
+            kept.append(i)
+            centers.append(survivors[i])
             if len(centers) > _NET_CAP:
                 raise CapExceededError("eps-net exceeded %d centers after %d of %d samples; raise "
                                        "--epsilon or lower --samples"
-                                       % (_NET_CAP, start + k + 1, len(points)), entries=centers)
-        lifted = np.concatenate((lifted, new)) if len(new) else lifted
-        start += len(block)
+                                       % (_NET_CAP, far[i] + 1, len(points)), entries=centers)
+        lifted = np.concatenate((lifted, new[kept]))
     return EpsNet(centers=centers, eps=eps)
 
 
@@ -301,7 +316,9 @@ def smith_normal_form(matrix):
     operations clear its column, in the rows a column index lists; once the
     column is clear, column operations clear its row and touch the pivot row
     alone.  A nonzero remainder is smaller than the pivot and becomes the next
-    pivot, so the loop ends.  Pairwise gcd/lcm turns the diagonal into the chain.
+    pivot, so the loop ends.  Pairwise gcd/lcm turns the diagonal's non-unit
+    entries into a chain, and its units go in front: invariant factors are
+    unique, so this is the chain of the whole diagonal.
     """
     rows = {t: r for t, r in enumerate(
         {j: int(x) for j, x in (row.items() if isinstance(row, dict) else enumerate(row)) if x}
@@ -339,11 +356,12 @@ def smith_normal_form(matrix):
             diagonal.append(abs(p))
             del rows[t]
             cols[j].discard(t)
-    for i in range(len(diagonal)):
-        for k in range(i + 1, len(diagonal)):
-            g = gcd(diagonal[i], diagonal[k])
-            diagonal[i], diagonal[k] = g, diagonal[i] * diagonal[k] // g
-    return diagonal
+    rest = [d for d in diagonal if d != 1]
+    for i in range(len(rest)):
+        for k in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[k])
+            rest[i], rest[k] = g, rest[i] * rest[k] // g
+    return [1] * (len(diagonal) - len(rest)) + rest
 
 
 def abelianization(presentation):

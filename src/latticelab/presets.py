@@ -203,7 +203,7 @@ def sample_box_h2(count, x_range, y_range):
 
 
 def sample_torus(count):
-    return [np.array(p) for p in halton(count)]
+    return list(halton(count))
 
 
 def default_region(preset_name, count=1000):

@@ -102,11 +102,10 @@ def commutator_ladder(s, levels):
     asserted = m0 < 1.0 / 8.0 and inv_ok
     violations = 0
     for n in range(1, levels + 1):
-        nxt = []
-        for a in base:
-            for u in ladder[-1]:
-                nxt.append(commutator(a, u))
-        nxt = _dedup(nxt)
+        try:
+            nxt = _dedup([commutator(a, u) for a in base for u in ladder[-1]])
+        except PreconditionError as exc:
+            raise PreconditionError("commutator ladder level %d: %s" % (n, exc)) from None
         ladder.append(nxt)
         dists.append(max(frobenius_to_identity(m) for m in nxt))
         if asserted and dists[-1] > m0 * (8.0 * m0) ** n + 1e-12:

@@ -88,6 +88,8 @@ def test_default_reports_run_without_scipy(argv, capsys):
     ["psi-check", "--step", "1"],
     ["psi-check", "--samples", "1", "--step", "0.5"],
     ["zassenhaus", "--epsilon", "0"],
+    ["zassenhaus", "--epsilon", "3"],
+    ["zassenhaus", "--epsilon", "8"],
     ["recurrence", "--epsilon", "-0.1"],
     ["zassenhaus", "--pairs", "0"],
     ["zassenhaus", "--dim", "0"],
@@ -98,6 +100,13 @@ def test_default_reports_run_without_scipy(argv, capsys):
 def test_bad_input_is_a_precondition_violation(argv, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("precondition violated:")
+
+
+def test_zassenhaus_singular_ladder_names_epsilon(capsys):
+    assert cli.main(["zassenhaus", "--epsilon", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: commutator ladder level 5: singular matrix")
+    assert "--epsilon 4" in err and "lower --epsilon" in err
 
 
 @pytest.mark.parametrize("subcommand, key, value", [

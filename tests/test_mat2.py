@@ -1,4 +1,5 @@
 from hypothesis import given, strategies as st
+import numpy as np
 import pytest
 import sympy
 
@@ -24,3 +25,10 @@ def test_exact_det_and_inverse_match_sympy(rows):
     inv = [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in mat2.mat_inv(m)]
     assert inv == ref.inv().tolist()
     assert mat2.mat_mul(m, mat2.mat_inv(m)) == mat2.mat_identity(len(rows))
+
+
+@pytest.mark.parametrize("m", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                               np.stack([np.eye(2), np.ones((2, 2))])])
+def test_float_singular_inverse_is_a_precondition_violation(m):
+    with pytest.raises(PreconditionError, match="singular matrix"):
+        mat2.mat_inv(m)

@@ -259,9 +259,14 @@ def test_blocked_octagon_net_and_nerve_equal_the_loop(octagon_deck, count, eps):
     _assert_matches_the_loop(points, eps, 1.1 * eps, octagon_deck)
 
 
+# The net's longest torus block: a point lifts to 2 entries, and the survivor
+# matrix of a block of b points holds b * b * 2 of them.
+TORUS_BLOCK = math.isqrt(nerve._NET_ENTRIES // 2)
+
+
 def test_a_center_kept_mid_block_rejects_a_later_sample_of_its_block():
     metric = nerve.TorusMetric()
-    block = nerve._NET_BLOCK
+    block = TORUS_BLOCK
     first = [np.array([0.01 * (i % 5), 0.0]) for i in range(block)]
     q1, q2 = np.array([0.5, 0.5]), np.array([0.5, 0.53])
     second = [np.array([0.0, 0.02]) for _ in range(block)]
@@ -273,13 +278,49 @@ def test_a_center_kept_mid_block_rejects_a_later_sample_of_its_block():
     assert [id(c) for c in _loop_net(points, 0.1, metric)] == [id(first[0]), id(q1)]
 
 
+def test_a_survivor_rejected_in_its_block_rejects_no_later_survivor():
+    # One block, all survivors: a is kept, b lies within eps of a only, c
+    # within eps of b only, d within eps of c only.  The walk keeps a, c and
+    # skips b and d: only kept survivors reject.
+    metric = nerve.TorusMetric()
+    a, b, c, d = (np.array([0.1 + 0.07 * i, 0.3]) for i in range(4))
+    points = [a, b, c, d]
+    assert _distances(metric, c, [a])[0] >= 0.1 > _distances(metric, c, [b])[0]
+    net = nerve.build_eps_net(points, 0.1, metric)
+    assert [id(p) for p in net.centers] == [id(a), id(c)]
+    assert [id(p) for p in _loop_net(points, 0.1, metric)] == [id(a), id(c)]
+
+
+def test_net_and_nerve_calls_stay_within_the_entry_budget(monkeypatch):
+    # Every `distances_to` call builds (rows, lifted.size) entries: per
+    # coordinate on the torus, (rows, centres, translates) on the surface.
+    rho = presets.octagon_circumradius()
+    octagon = nerve.SurfaceMetric(presets.octagon_genus2(), presets.octagon_center(),
+                                  region_radius=rho, interaction_radius=1.1, slack=rho)
+    assert len(octagon.deck) == 97
+    runs = [(nerve.TorusMetric(), presets.sample_torus(2000), 0.05, 0.055),
+            (octagon, presets.default_region("octagon-genus2", 1500), 0.5, 0.55)]
+    for metric, points, eps, r in runs:
+        sizes, measure = [], metric.distances_to
+
+        def recording(xs, lifted):
+            sizes.append(len(xs) * np.asarray(lifted).size)
+            return measure(xs, lifted)
+
+        monkeypatch.setattr(metric, "distances_to", recording)
+        net = nerve.build_eps_net(points, eps, metric)
+        nerve.nerve(net, r, metric)
+        assert len(net.centers) > 3 and len(sizes) > 10
+        assert max(sizes) <= nerve._NET_ENTRIES
+
+
 @pytest.mark.parametrize("cap", [5, 40, 150])
 def test_net_cap_fires_at_the_loop_center_count(cap, monkeypatch):
     metric = nerve.TorusMetric()
     points = presets.sample_torus(2000)
     reference = _loop_net(points, 0.05, metric)
     consumed = next(i for i, p in enumerate(points) if p is reference[cap]) + 1
-    assert consumed % nerve._NET_BLOCK      # crossed in the middle of a block
+    assert consumed % TORUS_BLOCK      # crossed in the middle of a block
     monkeypatch.setattr(nerve, "_NET_CAP", cap)
     with pytest.raises(CapExceededError) as info:
         nerve.build_eps_net(points, 0.05, metric)
@@ -288,6 +329,25 @@ def test_net_cap_fires_at_the_loop_center_count(cap, monkeypatch):
     message = str(info.value)
     assert "after %d of 2000 samples" % consumed in message
     assert "--epsilon" in message and "--samples" in message
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_torus_distances_equal_the_norm_of_the_offsets(dim):
+    rng = np.random.default_rng(35 + dim)
+    metric = nerve.TorusMetric()
+
+    def norm_form(xs, lifted):
+        d = np.asarray(xs, float)[:, None] - lifted
+        return np.linalg.norm(d - np.round(d), axis=-1)
+
+    xs = list(rng.uniform(0.0, 1.0, (300, dim)))
+    lifted = rng.uniform(-3.0, 3.0, (40, dim))
+    # Offsets at exact half-integers, where np.round ties to even.
+    halves = np.array(xs[:20]) + rng.integers(-3, 4, (20, dim)) + 0.5
+    for ys in (lifted, halves, lifted[:0]):
+        got = metric.distances_to(xs, ys)
+        assert got.shape == (len(xs), len(ys))
+        assert np.array_equal(got, norm_form(xs, ys))
 
 
 # The surface distance takes one arccosh of the least cosh-argument, which is
@@ -668,12 +728,36 @@ def _loop_smith_normal_form(matrix):
         if len(top) == 1:
             diagonal.append(abs(p))
             rows = [r for r in rows if r is not top]
+    return _pairwise_chain(diagonal)
+
+
+def _pairwise_chain(diagonal):
+    """The divisibility chain of a positive diagonal by pairwise gcd/lcm over
+    every pair, units included."""
+    diagonal = list(diagonal)
     for i in range(len(diagonal)):
         for k in range(i + 1, len(diagonal)):
             g = gcd(diagonal[i], diagonal[k])
             diagonal[i], diagonal[k] = g, diagonal[i] * diagonal[k] // g
     return diagonal
 
+
+@pytest.mark.parametrize("kind", ["all ones", "no ones", "mixed"])
+def test_smith_chain_of_a_diagonal_matches_the_pairwise_pass(kind):
+    rng = random.Random(35)
+    cases = {"mixed": [[2, 1, 4, 1, 6, 9], [1, 12, 1, 1, 18, 1, 8], [1, 1, 1, 5]]}
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        if kind == "all ones":
+            d = [1] * n
+        elif kind == "no ones":
+            d = [rng.choice([2, 3, 4, 6, 9, 10, 12, 35, 10**12]) for _ in range(n)]
+        else:
+            d = [rng.choice([1, 1, 1, 2, 3, 4, 6, 9, 10**9 + 7]) for _ in range(n)]
+        cases.setdefault(kind, []).append(d)
+    for d in cases[kind]:
+        m = [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+        assert nerve.smith_normal_form(m) == _pairwise_chain(d)
 
 
 def _dict_rows(matrix):
@@ -747,6 +831,8 @@ def test_smith_normal_form_of_nerve_matrices(surface, count, eps, request):
     rank, torsion = nerve.abelianization(pres)
     assert (rank, torsion) == (pres.generator_count - len(divisors), [d for d in divisors if d > 1])
     assert rank == pres.generator_count - _rank_mod_prime(m)
+    if surface:
+        assert (rank, torsion) == (4, [])
 
 
 # -- counting -----------------------------------------------------------------------

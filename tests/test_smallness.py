@@ -73,6 +73,16 @@ def test_ladder_large_set_no_bound_flag():
     assert lad.max_dists[0] > 1 / 8
 
 
+def test_ladder_names_the_level_that_goes_singular():
+    # Far outside the contraction regime the level-4 entries reach 1e10 and
+    # a level-5 commutator is singular in floats.
+    s = [np.eye(2) + 1.5 * np.array([[0.0, 1.0], [0.0, 0.0]]),
+         np.eye(2) + 1.5 * np.array([[0.0, 0.0], [1.0, 0.0]])]
+    assert len(sm.commutator_ladder(s, 4).max_dists) == 5
+    with pytest.raises(PreconditionError, match="^commutator ladder level 5: singular matrix$"):
+        sm.commutator_ladder(s, 5)
+
+
 def test_ladder_incremental_equals_recomputed():
     s = [[[1, Fraction(1, 20)], [0, 1]], [[1, 0], [Fraction(1, 20), 1]]]
     full = sm.commutator_ladder(s, 4)
