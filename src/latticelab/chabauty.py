@@ -258,8 +258,12 @@ def chabauty_distance(h1, h2, radius):
     dimension 1; higher-dimensional continuous parts are sampled (dense
     deterministic grid), which the worked examples do not need.
     """
-    p1 = h1.truncation_pieces(radius)
-    p2 = h2.truncation_pieces(radius)
+    return _pieces_distance(h1, h1.truncation_pieces(radius), h2,
+                            h2.truncation_pieces(radius), radius)
+
+
+def _pieces_distance(h1, p1, h2, p2, radius):
+    """`chabauty_distance` of h1 and h2 from their `truncation_pieces`."""
     if not len(p1) and not len(p2):
         return 0.0
     if not len(p1) or not len(p2):
@@ -347,7 +351,8 @@ def chabauty_limit(sequence, radii, tol=1e-3):
     witness = None
     converged = True
     for r in radii:
-        ds = [chabauty_distance(h, limit, r) for h in sequence]
+        pieces = limit.truncation_pieces(r)
+        ds = [_pieces_distance(h, h.truncation_pieces(r), limit, pieces, r) for h in sequence]
         distances[r] = ds
         # The whole tail must sit below tolerance: a sequence that merely
         # revisits the proposal while oscillating is not convergent.
@@ -440,11 +445,11 @@ def mahler_subsequence(bases, max_covolume, min_shortest):
         if float(cv) > max_covolume + 1e-9:
             raise PreconditionError("lattice %d has covolume %.6g > bound %.6g"
                                     % (i, float(cv), max_covolume))
-        sv = float(np.linalg.norm(shortest_vector(b)))
+        reduced.append(reduce_basis(b))    # its shortest row is a shortest vector
+        sv = float(np.linalg.norm(reduced[-1], axis=1).min())
         if sv < min_shortest - 1e-9:
             raise PreconditionError("lattice %d has shortest vector %.6g < bound %.6g"
                                     % (i, sv, min_shortest))
-        reduced.append(reduce_basis(b))
     if not reduced:
         raise PreconditionError("need at least one lattice")
     bound = (2.0 ** n) * (2.0 ** (n / 2.0)) * max_covolume / (min_shortest ** (n - 1))

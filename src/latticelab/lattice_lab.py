@@ -3,7 +3,9 @@
 Everything quantified over an infinite group is computed on a word ball and
 reports the radius used.  The experiments: injectivity radius, thick-thin
 scans, the displacement Morse function and its gradient-vanishing check,
-hyperbolic covolumes, recurrence searches, and the matrix-span check.
+hyperbolic covolumes, recurrence searches, and the matrix-span check.  The
+scans of one group object at one radius share a `BallGeometry`, dropped
+with the group (`ball_geometry`).
 """
 
 from collections import defaultdict
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 import math
+import weakref
 
 import numpy as np
 
@@ -29,7 +32,9 @@ class BallGeometry:
     use, at most once), the translation lengths, and the short-element
     component rule of the thick-thin decomposition and the Margulis lemma.
     Element i is the ball's row i + 1, built only to be classified or read.
-    A ball with no nontrivial element is a PreconditionError."""
+    A ball with no nontrivial element is a PreconditionError.  The caches
+    depend on the ball alone, so one geometry serves a (group, radius)
+    for the group's lifetime (`ball_geometry`)."""
 
     def __init__(self, group, radius):
         self.radius = radius
@@ -95,6 +100,20 @@ class BallGeometry:
                 for i in indices]
 
 
+_GEOMETRIES = weakref.WeakKeyDictionary()    # group -> {radius: BallGeometry}
+
+
+def ball_geometry(group, radius):
+    """The BallGeometry of (group, radius), built on first request and kept
+    until the group (its generators a tuple) is collected; a failed build
+    stores nothing."""
+    bg = _GEOMETRIES.get(group, {}).get(radius)
+    if bg is None:
+        bg = BallGeometry(group, radius)
+        _GEOMETRIES.setdefault(group, {})[radius] = bg
+    return bg
+
+
 # -- injectivity radius ----------------------------------------------------
 
 @dataclass
@@ -114,7 +133,7 @@ def injectivity_radius(group, x, radius):
     """
     if radius < 1:
         raise PreconditionError("ball radius must be >= 1")
-    bg = BallGeometry(group, radius)
+    bg = ball_geometry(group, radius)
     disp = bg.displacements(x)
     i = int(np.argmin(disp))
     word = bg.word(i)
@@ -197,7 +216,7 @@ def thick_thin_scan(group, epsilon, samples, radius):
     """
     if epsilon <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % epsilon)
-    bg = BallGeometry(group, radius)
+    bg = ball_geometry(group, radius)
     groups = []                     # (kind, identifying data) per component
     witnesses = defaultdict(set)    # component -> indices of its short elements
     held = defaultdict(list)        # component -> samples inside it
@@ -339,7 +358,7 @@ def gradient_lemma_check(group, epsilon, samples, radius, h, bump=None):
     tol, grad_tol = 1e-9, 1e-6
     coords = np.array([p.coords for p in samples] or np.empty((0, 2)))
     stencil = _stencil(coords, h)
-    bg = BallGeometry(group, radius)
+    bg = ball_geometry(group, radius)
     values, error = _psi_rows(bg, coords, epsilon, bump)
     keep = [k for k, value in enumerate(values) if not tol < value <= 2.0 * tol]
     norms = [float(np.linalg.norm(g)) for g in _gradients(bg, stencil[keep], epsilon, h, bump)]

@@ -20,7 +20,7 @@ from . import mat2
 from .errors import PreconditionError
 from .mat2 import (frobenius_norm, frobenius_to_identity, mat_dim, mat_from, mat_inv,
                    mat_is_exact, mat_is_identity, mat_mul)
-from .lattice_lab import BallGeometry
+from .lattice_lab import ball_geometry
 from .wordballs import FinitelyGeneratedGroup, _bfs
 
 
@@ -332,7 +332,7 @@ def margulis_short_subgroup(group, x, epsilon, word_cutoff):
         raise PreconditionError("word cutoff must be >= 1")
     if not isinstance(group, FinitelyGeneratedGroup):
         group = FinitelyGeneratedGroup(list(group))
-    bg = BallGeometry(group, word_cutoff)
+    bg = ball_geometry(group, word_cutoff)
     idx = np.nonzero(bg.displacements(x) <= epsilon)[0].tolist()
     groups = []
     bg.components(idx, groups)

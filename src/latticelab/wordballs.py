@@ -16,17 +16,17 @@ dropped by a reach (below) is never keyed, so it does not count.
 `_bfs` holds its frontier and kept elements as a kernel's rows, and a
 kernel turns each `CHUNK`-row slice of the frontier into its candidates: the
 products by every step in (frontier, step) order, as rows, with their keys.
-One loop then dedups, tests and caps them.  Real Moebius groups with all
-float, or all Python int, entries use a numpy kernel whose rows are (N, 4)
-entry arrays (products, sign choice and keys bit for bit what the scalar
-path computes).  Its float branch also normalizes determinants; its integer
-branch works in int64, and a slice whose products might reach 2^62 goes to
-the scalar kernel, whose Python ints carry on exactly as object rows.  Other
-groups use the scalar kernel, whose rows are product objects.  The
-`WordBall` of the kept rows builds elements and words only when read.  Under
-a reach (an H^2 point and a radius), both kernels drop every product that
-displaces the point beyond the radius before keying it, computing the
-displacements as one array from the same float entries (`_within`).
+One loop dedups and caps them, then tests the new ones.  Real Moebius
+groups with all float, or all Python int, entries use a numpy kernel whose
+rows are (N, 4) entry arrays (products, sign choice and keys bit for bit
+what the scalar path computes).  Its float branch also normalizes
+determinants; its integer branch works in int64, and a slice whose products
+might reach 2^62 goes to the scalar kernel, whose Python ints carry on
+exactly as object rows.  Other groups use the scalar kernel, whose rows are
+product objects.  The `WordBall` of the kept rows builds elements and words
+only when read.  Under a reach (an H^2 point and a radius), both kernels
+drop every product that displaces the point beyond the radius before
+building or keying it, computing the displacements as one array (`_within`).
 """
 
 from functools import cached_property, partial
@@ -42,7 +42,7 @@ WORD_BALL_CAP = 10**6
 
 
 class FinitelyGeneratedGroup:
-    """Generator list plus bookkeeping; inverse closure is added on demand.
+    """Generator tuple plus bookkeeping; inverse closure is added on demand.
 
     Generators may be Moebius or Euclidean isometries; any
     `mat2.Keyed` element with __mul__, inverse() and is_identity() works.
@@ -55,7 +55,7 @@ class FinitelyGeneratedGroup:
     def __init__(self, generators, name=None):
         if not generators:
             raise PreconditionError("need at least one generator")
-        self.generators = _one_arithmetic(list(generators))
+        self.generators = tuple(_one_arithmetic(list(generators)))
         self.name = name or "group"
 
     def identity(self):
@@ -189,14 +189,17 @@ def _scalar_kernel(steps, product, entries, reach):
     """Kernel building one product object per candidate; its rows are 1-D
     object arrays of elements.  A chunk's products are all made before any
     is keyed, so a product that raises stops the enumeration even where the
-    cap would have stopped it a few candidates earlier."""
+    cap would have stopped it a few candidates earlier.  Under a reach, only
+    products within it become elements: `_within` reads the raw `mat2.mul`
+    entries (scale moves no point), so one beyond it is never normalized."""
     rows_of = partial(np.fromiter, dtype=object)
 
     def candidates(chunk):
-        made = [product(e, s) for e in chunk for _, s in steps]
+        pairs = [(e, s) for e in chunk for _, s in steps]
         if reach is not None:
-            m = np.array([w.m for w in made], dtype=float).reshape(-1, 4)
-            made = [made[i] for i in _within(m, reach).tolist()]
+            m = np.array([mat2.mul(e.m, s.m) for e, s in pairs], dtype=float).reshape(-1, 4)
+            pairs = [pairs[i] for i in _within(m, reach).tolist()]
+        made = [product(e, s) for e, s in pairs]
         xs = [entries(w) for w in made]
         keys = [mat2.quantize(x) for x in xs]
         near = {i: alt for i, alt in enumerate(map(_straddle_keys, xs, keys)) if alt}
@@ -318,10 +321,12 @@ def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=N
     tracked unless there is a test or a reach.
 
     The kernel (`_kernel`) takes the frontier CHUNK rows at a time, so its
-    arrays stay the same size however wide a layer grows; one loop walks
+    arrays stay the same size however wide a layer grows; one loop keys
     the candidates in (frontier, step) order, as an element-by-element BFS
-    would.  Past the cap, the error carries the partial ball and, under a
-    radius, names the word length being built and the last complete radius.
+    would.  Then `test` runs, in keying order, on the chunk's new elements,
+    built in one `elements_of` call.  Past the cap, the error carries the
+    partial ball and, under a radius, names the word length being built and
+    the last complete radius.
     """
     key, rows_of, candidates, elements_of = _kernel(start, steps, product, entries, reach)
     n, words = len(steps), test is None and reach is None
@@ -343,19 +348,19 @@ def _bfs(start, steps, cap, product=operator.mul, entries=_KEY_ENTRIES, radius=N
             except ValueError as exc:    # e.g. a float product off determinant one
                 raise PreconditionError("%s: a product of word length %d failed: %s"
                                         % (label, layer, exc)) from None
-            grow, keep, over = [], [], False
+            grow, over = [], False
             for i, k in enumerate(keys):
                 if k in seen or i in near and not seen.isdisjoint(near[i]):
                     continue
                 seen.add(k)
-                expand, keeps = test(elements_of(made[i:i + 1])[0]) if test else (True, True)
-                if expand:
-                    grow.append(i)
-                    if keeps and test:
-                        keep.append(i)
+                grow.append(i)
                 over = len(seen) > cap
                 if over:
                     break
+            if test:
+                verdicts = list(map(test, elements_of(made[grow])))
+                keep = [i for i, (expand, keeps) in zip(grow, verdicts) if expand and keeps]
+                grow = [i for i, (expand, _) in zip(grow, verdicts) if expand]
             nxt.append(made[grow])
             kept.append(made[keep] if test else nxt[-1])
             if words:

@@ -338,6 +338,21 @@ def test_limit_rotating_rank_one_lattices():
     assert abs(np.linalg.norm(res.limit.lattice_basis[0]) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("basis", [
+    lambda k: [[1.0 / k]],                                  # the CLI's families
+    lambda k: [[float(k)]],
+    lambda k: [[math.cos(1.0 / k), math.sin(1.0 / k)]],
+    lambda k: [[1.0 / k, 0.0], [0.3, 1.0]],                 # limit R x Z: a V part
+])
+def test_limit_distances_are_the_chabauty_distances_bit_for_bit(basis):
+    seq = [ch.ClosedSubgroupRn.lattice(basis(k)) for k in range(1, 51)]
+    res = ch.chabauty_limit(seq, [1.0, 2.0, 4.0], tol=0.02)
+    assert list(res.distances) == [1.0, 2.0, 4.0]
+    for r, ds in res.distances.items():
+        want = [ch.chabauty_distance(h, res.limit, r) for h in seq]
+        assert np.array(ds).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
 def test_limit_oscillating_sequence_reports_witness():
     a = ch.ClosedSubgroupRn.lattice([[1.0]])
     b = ch.ClosedSubgroupRn.lattice([[0.4]])

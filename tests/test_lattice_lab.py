@@ -1,7 +1,9 @@
 from collections import Counter
+import gc
 import math
 from fractions import Fraction
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -221,12 +223,51 @@ def test_ball_geometry_classifies_each_element_at_most_once(sl2z, monkeypatch):
         lab._psi(bg, x, 0.3, None)
         lab._psi_gradient(bg, x, 0.3, 1e-4, None)
     assert len(calls) == len(bg) and max(calls.values()) == 1
-    for run in (lambda: lab.thick_thin_scan(sl2z, 0.8, points, 5),
-                lambda: lab.gradient_lemma_check(sl2z, 0.3, points, 5, 1e-4),
-                lambda: smallness.margulis_short_subgroup(sl2z, HPoint(0, 1), 1.0, 5)):
+    # A fresh group per run: runs on one group share its geometry's classes.
+    for run in (lambda g: lab.thick_thin_scan(g, 0.8, points, 5),
+                lambda g: lab.gradient_lemma_check(g, 0.3, points, 5, 1e-4),
+                lambda g: smallness.margulis_short_subgroup(g, HPoint(0, 1), 1.0, 5)):
         calls.clear()
-        run()
+        run(presets.sl2z())
         assert max(calls.values()) == 1
+    # One group: the three runs together classify each element at most once.
+    calls.clear()
+    group = presets.sl2z()
+    lab.thick_thin_scan(group, 0.8, points, 5)
+    lab.gradient_lemma_check(group, 0.3, points, 5, 1e-4)
+    smallness.margulis_short_subgroup(group, HPoint(0, 1), 1.0, 5)
+    assert len(calls) == len(bg) and max(calls.values()) == 1
+
+
+def test_ball_geometry_is_kept_per_group_and_radius_while_the_group_lives():
+    group = presets.octagon_genus2()
+    assert isinstance(group.generators, tuple)
+    bg = lab.ball_geometry(group, 3)
+    assert lab.ball_geometry(group, 3) is bg
+    assert lab.ball_geometry(group, 2) is not bg
+    twin = presets.octagon_genus2()    # equal generators, another group object
+    assert lab.ball_geometry(twin, 3) is not bg
+    assert sorted(lab._GEOMETRIES[group]) == [2, 3]
+    refs = weakref.ref(group), weakref.ref(bg)
+    del group, bg
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert sorted(lab._GEOMETRIES[twin]) == [3]
+
+
+def test_injectivity_radius_on_one_geometry_matches_a_fresh_geometry_per_point():
+    group = presets.octagon_genus2()
+    rng = np.random.default_rng(36)
+    rho = presets.octagon_circumradius()
+    for _ in range(110):
+        turn = presets._rotation_about_i(rng.uniform(0.0, 2.0 * math.pi))
+        x = turn.apply(HPoint(0.0, math.exp(rng.uniform(0.0, 0.9 * rho))))
+        got = lab.injectivity_radius(group, x, 3)
+        bg = lab.BallGeometry(group, 3)
+        disp = bg.displacements(x)
+        i = int(np.argmin(disp))
+        assert (got.value, got.minimizer_word) == (0.5 * float(disp[i]), bg.word(i))
+    assert list(lab._GEOMETRIES[group]) == [3]
 
 
 def picard_group():
@@ -449,9 +490,11 @@ def test_every_ball_experiment_rejects_an_empty_nontrivial_ball(one):
     x = HPoint(0, 1)
     for run in (lambda: lab.injectivity_radius(group, x, 2),
                 lambda: lab.thick_thin_scan(group, 0.3, [x], 2),
-                lambda: lab.gradient_lemma_check(group, 0.3, [x], 2, 1e-4)):
+                lambda: lab.gradient_lemma_check(group, 0.3, [x], 2, 1e-4),
+                lambda: smallness.margulis_short_subgroup(group, x, 0.3, 2)) * 2:
         with pytest.raises(PreconditionError, match="empty nontrivial ball"):
             run()
+    assert group not in lab._GEOMETRIES    # a failed build stores nothing
 
 
 # -- samplers -----------------------------------------------------------------------

@@ -444,6 +444,81 @@ def test_both_kernels_cap_the_pruned_ball_at_the_elements_within_reach(monkeypat
     assert len(calls) > n and sum(d <= keep + slack for d in calls) == expanded
 
 
+def test_pruned_ball_tests_each_chunk_in_keying_order(monkeypatch):
+    # CHUNK = 1 keys and tests the products of one frontier element at a time.
+    calls = []
+
+    def counted(w, p):
+        calls.append(displacement(w, p))
+        return calls[-1]
+
+    monkeypatch.setattr(wordballs.hyperbolic, "displacement", counted)
+    octagon, sl2z = presets.octagon_genus2(), presets.sl2z()
+    base, keep, slack = reach_cases()[2]
+    picard = FinitelyGeneratedGroup([MoebiusIsometry(((1, 1), (0, 1))),
+                                     MoebiusIsometry(((1, 1j), (0, 1))),
+                                     MoebiusIsometry(((0, -1), (1, 0)))])
+    runs = [(lambda cap: displacement_pruned_ball(octagon, base, keep, slack=slack, cap=cap), 300),
+            (lambda cap: displacement_pruned_ball(sl2z, HPoint(0.1, 1.7), 6, slack=2, cap=cap),
+             500),
+            (lambda cap: displacement_pruned_ball(picard, HPoint(0.1, 0.2, 1.3), 2.5, slack=1.0,
+                                                  cap=cap), 100)]
+
+    def record(run, cap):
+        calls.clear()
+        kept = [((), e) for e in run(10**6)]
+        full = list(calls)
+        calls.clear()
+        message, entries = cap_error(lambda: run(cap))
+        return full, kept, list(calls), message, entries
+
+    want = [record(*run) for run in runs]
+    monkeypatch.setattr(wordballs, "CHUNK", 1)
+    for run, (full, kept, capped, message, entries) in zip(runs, want):
+        got = record(*run)
+        assert len(full) > len(capped) > 0
+        assert got[0] == full and got[2] == capped and got[3] == message
+        assert_same_entries(got[1], kept)
+        assert_same_entries(got[4], entries)
+
+
+def genus4_side_pairings():
+    """The eight translations pairing opposite sides of the regular 16-gon
+    about i with vertex angle pi / 8 (a genus-4 surface group), and the
+    16-gon's circumradius."""
+    a = 1.0 / math.tan(math.pi / 16.0)    # cosh of half the translation length
+    b = math.sqrt(a * a - 1.0)
+    t = MoebiusIsometry(((a, b), (b, a)))
+    turns = [presets._rotation_about_i(k * math.pi / 8.0) for k in range(8)]
+    return FinitelyGeneratedGroup([r * t * r.inverse() for r in turns]), math.acosh(a * a)
+
+
+def test_genus4_deck_passes_products_beyond_the_reach_that_fail_normalization():
+    # Some length-4 products beyond the reach are off determinant one by
+    # more than mat2.DET_DRIFT once normalized; they must not stop the ball.
+    group, rho = genus4_side_pairings()
+    with pytest.raises(PreconditionError, match="product of word length 4 failed"):
+        word_ball(group, 4)
+    keep = 2.0 * rho + 1.2
+    kept = displacement_pruned_ball(group, HPoint(0.0, 1.0), keep, slack=rho)
+
+    def orbit(elements):
+        m = np.array([e.m for e in elements], dtype=float)
+        w = (m[:, 0] * 1j + m[:, 1]) / (m[:, 2] * 1j + m[:, 3])
+        return w, np.arccosh(1.0 + np.abs(w - 1j) ** 2 / (2.0 * w.imag))
+
+    w, d = orbit(kept)
+    assert d.max() <= keep + 1e-9
+    assert any(e.is_identity() for e in kept)
+    gaps = np.abs(w[:, None] - w[None, :]) + np.eye(len(w))
+    assert gaps.min() > 1e-6                                    # distinct orbit points
+    w_inv, _ = orbit([e.inverse() for e in kept])
+    assert np.abs(w_inv[:, None] - w[None, :]).min(axis=1).max() < 1e-6    # closed under inverse
+    # Every element of the radius-3 word ball within keep is found.
+    w3, d3 = orbit(word_ball(group, 3).elements)
+    assert np.abs(w3[d3 <= keep - 1e-9][:, None] - w[None, :]).min(axis=1).max() < 1e-6
+
+
 def test_keys_beyond_int64_take_the_scalar_kernel(monkeypatch):
     # Entries of g^3 reach e^60: x / GRID leaves int64.
     group = presets.cyclic_hyperbolic(40.0)
@@ -525,11 +600,15 @@ def test_ball_geometry_stacks_its_rows_bit_for_bit():
 def test_ball_experiments_match_the_scalar_kernel_on_seeded_points(monkeypatch):
     rng = np.random.default_rng(1402)
     points = [HPoint(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0)) for _ in range(30)]
-    octagon = presets.octagon_genus2()
-    conj = octagon.conjugated(small_translation(rng))
-    runs = [lambda: [lattice_lab.injectivity_radius(g, x, 3) for g in (octagon, conj)
-                     for x in points],
-            lambda: lattice_lab.thick_thin_scan(octagon, 3.2, points, 3),
+    h = small_translation(rng)
+
+    def groups():
+        # Built per run: runs on one group object would share its geometry.
+        octagon = presets.octagon_genus2()
+        return octagon, octagon.conjugated(h)
+
+    runs = [lambda: [lattice_lab.injectivity_radius(g, x, 3) for g in groups() for x in points],
+            lambda: lattice_lab.thick_thin_scan(groups()[0], 3.2, points, 3),
             lambda: lattice_lab.thick_thin_scan(presets.cyclic_hyperbolic(0.1), 0.5, points, 4),
             lambda: lattice_lab.thick_thin_scan(presets.cusp_model(), 0.8, points, 5)]
     got = [run() for run in runs]
