@@ -163,7 +163,17 @@ class MoebiusIsometry(mat2.Keyed):
 
 
 def displacement(g, p):
-    """d(g p, p), the displacement of g at p."""
+    """d(g p, p), the displacement of g at p.  A real g (exact, or float
+    entries, which __init__ leaves all float or all complex) at an H^2 point
+    takes one pass in the float operations of g.apply(p) and distance():
+    a real entry meets the complex z as complex(entry) would."""
+    if p.dim == 2 and (g.exact or type(g.m[0]) is float):
+        a, b, c, d = g.m
+        z = p.z
+        w = (a * z + b) / (c * z + d)
+        if not w.imag > 0:
+            raise InvalidPointError("height coordinate must be positive, got %r" % (w.imag,))
+        return math.acosh(max(1.0 + abs(w - z) ** 2 / (2.0 * w.imag * z.imag), 1.0))
     return distance(g.apply(p), p)
 
 

@@ -7,13 +7,16 @@ length at most 3 (tree edges read as the empty letter).  Abelianization via
 integer normal form is the verification oracle downstream.
 
 Metric contexts make the same construction run on the flat torus and on
-closed hyperbolic surfaces presented as quotients.  Each exposes `lifts(ys)`,
-one row per point of ys (torus coordinates, or translates by a precomputed
-deck set); `distances_to(xs, lifted)`, the (len(xs), rows) distances through
-nearest lifts (torus y + round(x - y); on a surface arccosh of the least
-cosh-argument over the translates, bit for bit the least distance as
-`np.arccosh` is non-decreasing, tested);
-`nearest_lifts(xs, lifted)`, per row the lift nearest to xs[row]; and
+closed hyperbolic surfaces presented as quotients.  Each exposes
+`lifts(ys, reach=None)`, one row per point of ys (torus coordinates, or
+translates by a precomputed deck set; with a reach, a surface row keeps only
+the translates that can come within the reach of a point of its region,
+`SurfaceMetric`); `distances_to(xs, lifted)`, the (len(xs), rows) distances
+through nearest lifts (torus y + round(x - y); on a surface arccosh of the
+least cosh-argument over the translates, bit for bit the least distance as
+`np.arccosh` is non-decreasing, tested, and under a reach the same float
+wherever it is below the reach); `nearest_lifts(xs, lifted)`, per row the
+lift nearest to xs[row]; and
 `minimax_radii(xs, ys, zs)`, the minimax radii of triangles with vertices ys,
 zs such lifts, in one array pass (on the torus with its one-triangle form
 `minimax_radius(x, y, z)` on lifted rows).
@@ -78,10 +81,11 @@ class TorusMetric:
     of Z^n is the unit cube, so `distances_to` is exact at every scale.  A
     minimax radius below 1/4 is exact too: lifts that fit in a ball of
     radius r < 1/4 lie within 1/2 of x, hence are the nearest ones.  Above
-    1/4 the value is only an upper bound, so nerves need r <= 1/4.
+    1/4 the value is only an upper bound, so nerves need r <= 1/4.  `lifts`
+    ignores a reach: each point is its own one lift.
     """
 
-    def lifts(self, ys):
+    def lifts(self, ys, reach=None):
         return np.asarray(ys, float)
 
     def distances_to(self, xs, lifted):
@@ -112,6 +116,48 @@ class TorusMetric:
         return min(pi * r * r, 1.0)
 
 
+def _bound(radius):
+    """A radius widened by 1e-9, relative and absolute: the margin of
+    `wordballs._within`, far above the float error of one distance."""
+    return radius * (1.0 + 1e-9) + 1e-9
+
+
+class KeptLifts:
+    """Rows of unequal length stored flat: row k is the `counts[k]` entries
+    of `flat` after those of the rows before it.  `size` counts the entries
+    and `np.asarray` gives `flat`; rows are selected by index (`lifted[rows]`)
+    and joined by `np.concatenate`, as the rows of a 2-D array are."""
+
+    def __init__(self, flat, counts):
+        self.flat, self.counts = flat, counts
+
+    @property
+    def size(self):
+        return len(self.flat)
+
+    @property
+    def starts(self):
+        return np.cumsum(self.counts) - self.counts
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.flat if dtype is None else self.flat.astype(dtype)
+
+    def __getitem__(self, rows):
+        rows = np.arange(len(self))[rows]
+        counts = self.counts[rows]
+        offset = np.repeat(self.starts[rows] - (np.cumsum(counts) - counts), counts)
+        return KeptLifts(self.flat[offset + np.arange(len(offset))], counts)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.concatenate or kwargs:
+            return NotImplemented
+        return KeptLifts(np.concatenate([p.flat for p in args[0]]),
+                         np.concatenate([p.counts for p in args[0]]))
+
+
 class SurfaceMetric:
     """Closed hyperbolic surface as a quotient, measured through nearest
     lifts among a displacement-pruned set of deck translates.
@@ -120,28 +166,64 @@ class SurfaceMetric:
     `interaction_radius` bounds the distances that must come out exact; the
     deck set keeps every transformation the triangle inequality allows for
     such pairs, exploring at `slack` (certified: `displacement_pruned_ball`).
+
+    `lifts(ys, reach)` keeps, per point, the translates within
+    region_radius + reach of the base (and at least the one nearest it), as
+    `KeptLifts`.  If d(base, x) <= region_radius and d(x, g y) < reach, then
+    d(base, g y) < region_radius + reach, so the translate attaining any
+    distance below the reach is kept and the least distance, and nearest
+    lift, are the full row's floats.  `distances_to` and `nearest_lifts`
+    raise PreconditionError for a point x beyond region_radius (with the
+    margin of `_bound`), where that proof and the deck's own fail.
     """
 
     def __init__(self, group, base, region_radius, interaction_radius, slack):
         keep = 2.0 * region_radius + interaction_radius + 0.1
         self.deck = displacement_pruned_ball(group, base, keep, slack=slack)
         self._abcd = stack_moebius(self.deck)
+        self._base, self._region = base.z, _bound(region_radius)
+        self.region_radius = region_radius
 
-    def lifts(self, ys):
+    def lifts(self, ys, reach=None):
         """Deck translates of the points ys: one row per point, one column
-        per deck transformation."""
-        return moebius_apply_h2(self._abcd, np.array([y.z for y in ys])[:, None])
+        per deck transformation; with a reach, the rows' translates that can
+        matter to distances below it, in deck order (`KeptLifts`)."""
+        w = moebius_apply_h2(self._abcd, np.array([y.z for y in ys])[:, None])
+        if reach is None:
+            return w
+        c = cosh_distances_h2(self._base, w)
+        keep = c <= cosh(_bound(self._region + reach))
+        keep[np.arange(len(w)), np.argmin(c, axis=1)] = True
+        return KeptLifts(w[keep], keep.sum(axis=1))
+
+    def _rows(self, xs, lifted):
+        """The points xs as complex numbers, checked against the region, and
+        lifted as `KeptLifts` (full rows keep every translate)."""
+        z = np.array([x.z for x in xs])
+        far = cosh_distances_h2(self._base, z) > cosh(self._region)
+        if far.any():
+            raise PreconditionError(
+                "point %r lies farther than region_radius %g from the base, so its nearest "
+                "lifts may be missed" % (complex(z[far][0]), self.region_radius))
+        if not isinstance(lifted, KeptLifts):
+            lifted = np.asarray(lifted)
+            lifted = KeptLifts(lifted.ravel(), np.full(len(lifted), lifted.shape[1]))
+        return z, lifted
 
     def distances_to(self, xs, lifted):
-        z = np.array([x.z for x in xs])[:, None, None]
-        return np.arccosh(np.maximum(cosh_distances_h2(z, lifted).min(axis=2), 1.0))
+        z, lifted = self._rows(xs, lifted)
+        least = np.minimum.reduceat(cosh_distances_h2(z[:, None], lifted.flat), lifted.starts,
+                                    axis=1)
+        return np.arccosh(np.maximum(least, 1.0))
 
     def nearest_lifts(self, xs, lifted):
         """Per row, the translate nearest to xs[row] by per-translate distance
-        (unique when the relevant distances stay below half the systole)."""
-        lifted = np.asarray(lifted)
-        z = np.array([x.z for x in xs])[:, None]
-        return lifted[np.arange(len(lifted)), np.argmin(distances_h2(z, lifted), axis=1)]
+        (unique when the relevant distances stay below half the systole);
+        the first in deck order on ties."""
+        z, lifted = self._rows(xs, lifted)
+        row = np.repeat(np.arange(len(lifted)), lifted.counts)
+        d = distances_h2(z[row], lifted.flat)
+        return lifted.flat[np.lexsort((d, row))[lifted.starts]]
 
     def minimax_radii(self, xs, ys, zs):
         v = [h2_to_hyperboloid(w) for w in (np.array([x.z for x in xs]), ys, zs)]
@@ -172,16 +254,18 @@ def build_eps_net(points, eps, metric):
     (every rejected point certifies its own eps-cover).  One call measures a
     block of the stream against the centers kept before it, one more its
     survivors against each other; walking that matrix keeps a survivor iff no
-    survivor kept earlier in the block is within eps.  Every distance is the
-    one-point loop's float, so the centers are the loop's.  A block holds at
-    most `_NET_ENTRIES // lifted.size` and isqrt(_NET_ENTRIES // L) points, L
-    the lift size of one point, so no call builds over `_NET_ENTRIES` entries."""
+    survivor kept earlier in the block is within eps.  Both calls take lifts
+    under the reach eps (`lifts(ys, eps)`): every distance below eps is the
+    one-point loop's float and every other one stays at least eps, so the
+    centers are the loop's.  A block holds at most `_NET_ENTRIES //
+    lifted.size` points, lifted.size counting the centers' kept lifts, and
+    isqrt(_NET_ENTRIES // L) points, L the full lift size of one point, so
+    no call builds over `_NET_ENTRIES` entries."""
     if eps <= 0:
         raise PreconditionError("epsilon must be positive, got %g" % eps)
     points = list(points)
-    one = metric.lifts(points[:1])
-    centers, lifted, start = [], one[:0], 0
-    square = isqrt(_NET_ENTRIES // max(1, one.size))
+    square = isqrt(_NET_ENTRIES // max(1, metric.lifts(points[:1]).size))
+    centers, lifted, start = [], metric.lifts(points[:1], eps)[:0], 0
     while start < len(points):
         block = points[start:start + max(1, min(square, _NET_ENTRIES // max(1, lifted.size)))]
         far = start + np.flatnonzero(
@@ -190,7 +274,7 @@ def build_eps_net(points, eps, metric):
         if not len(far):
             continue
         survivors = [points[k] for k in far.tolist()]
-        new, kept = metric.lifts(survivors), []
+        new, kept = metric.lifts(survivors, eps), []
         for i, row in enumerate((metric.distances_to(survivors, new) < eps).tolist()):
             if any(row[j] for j in kept):
                 continue
@@ -221,14 +305,15 @@ def nerve(net, r, metric):
     Edge iff two balls meet (center distance < 2r); triangle iff the three
     balls share a point, decided exactly in constant curvature by the minimax
     radius test: the balls intersect iff min_p max_i d(p, c_i) < r.  Each edge
-    (i, j) takes its nearest lift once; the triples (i, j, k) with (i, k) and
-    (j, k) edges are decided in one `minimax_radii` call.
+    (i, j) takes its nearest lift once, among the lifts under the reach 2r;
+    the triples (i, j, k) with (i, k) and (j, k) edges are decided in one
+    `minimax_radii` call.
     """
     if r <= 0:
         raise PreconditionError("ball radius must be positive, got %g" % r)
     cs = net.centers
     n = len(cs)
-    lifted = metric.lifts(cs)
+    lifted = metric.lifts(cs, 2.0 * r)
     pairs, near = [np.zeros((0, 2), int)], []
     rows = max(1, _NET_ENTRIES // max(1, lifted.size))
     for s in range(0, n, rows):

@@ -178,18 +178,33 @@ def _det1(m):
 
 def sample_hyperbolic_disk(center, radius, count):
     """Area-uniform Halton sample of the hyperbolic disk about a point of H^2:
-    i e^r turned by theta about i, then moved to the center, in the float
-    operations of the MoebiusIsometry product and action (tested)."""
+    i e^r turned by theta about i, then moved to the center.  Each point
+    repeats, inline, the float operations of the MoebiusIsometry product
+    move * turn and its action: determinant, 1/sqrt scaling, the sign
+    choice of `mat2.canonicalize_sign` (entries up to SIGN_TOL count as
+    zero), then (a z + b) / (c z + d) in complex arithmetic (tested)."""
     y = center.z.imag
-    move = _det1((math.sqrt(y), center.z.real / math.sqrt(y), 0.0, 1.0 / math.sqrt(y)))
+    e, f, g, h = _det1((math.sqrt(y), center.z.real / math.sqrt(y), 0.0, 1.0 / math.sqrt(y)))
+    tol, top = mat2.SIGN_TOL, math.cosh(radius) - 1.0
     pts = []
     for u, v in halton(count).tolist():
-        r = math.acosh(1.0 + u * (math.cosh(radius) - 1.0))
+        r = math.acosh(1.0 + u * top)
         theta = 2.0 * math.pi * v
         c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        a, b, c, d = map(complex, _det1(mat2.mul(move, _det1((c, s, -s, c)))))
+        k = 1.0 / math.sqrt(c * c - s * -s)
+        p, q, t = c * k, s * k, -s * k    # the turn (p, q, t, p)
+        lead = p if abs(p) > tol else q if abs(q) > tol else t
+        if abs(lead) > tol and not lead > 0:
+            p, q, t = -p, -q, -t
+        # move * (p, q, t, p), scaled to determinant one and sign-canonical.
+        a, b, c, d = e * p + f * t, e * q + f * p, g * p + h * t, g * q + h * p
+        k = 1.0 / math.sqrt(a * d - b * c)
+        a, b, c, d = a * k, b * k, c * k, d * k
+        lead = a if abs(a) > tol else b if abs(b) > tol else c if abs(c) > tol else d
+        if abs(lead) > tol and not lead > 0:
+            a, b, c, d = -a, -b, -c, -d
         z = complex(0.0, math.exp(r))
-        pts.append(HPoint.from_h2((a * z + b) / (c * z + d)))
+        pts.append(HPoint.from_h2((complex(a) * z + complex(b)) / (complex(c) * z + complex(d))))
     return pts
 
 

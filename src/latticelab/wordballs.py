@@ -209,12 +209,14 @@ def _scalar_kernel(steps, product, entries, reach):
 
 def _moebius_kernel(steps, reach, exact):
     """Kernel for real Moebius steps, float or integer: the chunk's products,
-    sign choice (as `mat2.canonicalize_sign`), reach filter and packed keys
+    reach filter, sign choice (as `mat2.canonicalize_sign`) and packed keys
     (`_pack`) as arrays, rows of float, int64 or (past 2^62) Python int
-    entries.  Float products are normalized to determinant one in the float
-    operations of MoebiusIsometry.__init__ and also carry straddle
-    alternates; integer products of determinant-one steps have determinant
-    exactly one and no cells.  A float chunk with a candidate the scalar
+    entries.  The reach filter reads the raw products, as the scalar kernel
+    does, so the rest runs on its survivors only.  Float products are
+    normalized to determinant one in the float operations of
+    MoebiusIsometry.__init__ and also carry straddle alternates; integer
+    products of determinant-one steps have determinant exactly one and no
+    cells.  A float chunk with a candidate within reach that the scalar
     path would reject, or with a cell beyond int64, goes to the scalar
     kernel, which raises or keys it; so does an integer chunk whose products
     might reach 2^62 (2 X Y >= _PACK_LIMIT for the largest chunk and step
@@ -240,6 +242,8 @@ def _moebius_kernel(steps, reach, exact):
         a, b, c, d = chunk.astype(dtype).T[:, :, None]
         m = np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
                      axis=-1).reshape(-1, 4)
+        if reach is not None:
+            m = m[_within(m.astype(float, copy=False), reach)]
         if exact:
             big = np.abs(m)
         else:
@@ -255,9 +259,6 @@ def _moebius_kernel(steps, reach, exact):
         lead = big > tol
         first = m[np.arange(len(m)), lead.argmax(axis=1)]
         m = np.where((lead.any(axis=1) & ~(first > 0))[:, None], -m, m)
-        if reach is not None:
-            within = _within(m.astype(float), reach)
-            m, big = m[within], big[within]
         q, near = (m, {}) if exact else _straddle(m, big)
         return _packed_keys(q), m, near
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from latticelab.errors import BorderlineClassificationError, InvalidPointError
+from latticelab import presets
+from latticelab.errors import (BorderlineClassificationError, DimensionMismatchError,
+                               InvalidPointError)
 from latticelab.hyperbolic import (
     ELLIPTIC,
     HYPERBOLIC,
@@ -23,6 +25,7 @@ from latticelab.hyperbolic import (
     sequence_contraction_witness,
 )
 from latticelab.hyperboloid import h2_to_hyperboloid, normalize_point
+from latticelab.wordballs import FinitelyGeneratedGroup, word_ball
 
 
 def arclength_distance_oracle(p, q):
@@ -121,6 +124,39 @@ def test_displacement_translation_at_i():
 def test_displacement_along_invariant_axis():
     g = MoebiusIsometry(((2, 0), (0, Fraction(1, 2))))
     assert abs(displacement(g, HPoint(0, 1)) - math.log(4)) < 1e-9
+
+
+def test_displacement_is_the_distance_to_the_image_bit_for_bit():
+    # Float, int and Fraction elements at H^2 points take the one-pass path.
+    fractions = FinitelyGeneratedGroup([
+        MoebiusIsometry(((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))),
+        MoebiusIsometry(((Fraction(1), Fraction(1, 3)), (Fraction(0), Fraction(1))))])
+    balls = [word_ball(presets.octagon_genus2(), 4), word_ball(presets.sl2z(), 6),
+             word_ball(fractions, 4)]
+    assert [type(b.element(1).m[0]) for b in balls] == [float, int, Fraction]
+    points = [HPoint(0.0, 1.0), HPoint(0.1, 1.3), HPoint(-0.37, 0.02), HPoint(5.0, 40.0)]
+    for ball in balls:
+        for p in points:
+            got = [displacement(g, p) for g in ball.elements]
+            assert got == [distance(g.apply(p), p) for g in ball.elements]
+    # An image height that underflows to zero raises on both paths.
+    flat = MoebiusIsometry(((1e-300, 0.0), (0.0, 1e300)))
+    for measure in (displacement, lambda g, p: distance(g.apply(p), p)):
+        with pytest.raises(InvalidPointError):
+            measure(flat, HPoint(0.0, 1.0))
+
+
+def test_complex_displacements_keep_the_old_path():
+    rng = np.random.default_rng(38)
+    real = [random_sl2r(rng) for _ in range(20)]
+    loxo = [MoebiusIsometry(((a, b), (c, (1 + b * c) / a))) for a, b, c in
+            rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))]
+    for g in loxo:
+        with pytest.raises(DimensionMismatchError):
+            displacement(g, HPoint(0.2, 1.1))
+    for p in (HPoint(0.0, 0.0, 1.0), HPoint(0.3, -0.2, 0.7)):
+        assert ([displacement(g, p) for g in real + loxo]
+                == [distance(g.apply(p), p) for g in real + loxo])
 
 
 def geodesic_midpoint(p, q):

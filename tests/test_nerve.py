@@ -64,7 +64,7 @@ def _h2_minimax(points):
 class EuclideanMetric:
     """The plane R^2 with points as arrays."""
 
-    def lifts(self, ys):
+    def lifts(self, ys, reach=None):
         return np.asarray(ys, float)
 
     def distances_to(self, xs, lifted):
@@ -257,6 +257,35 @@ def octagon_deck(request):
 def test_blocked_octagon_net_and_nerve_equal_the_loop(octagon_deck, count, eps):
     points = presets.default_region("octagon-genus2", count)
     _assert_matches_the_loop(points, eps, 1.1 * eps, octagon_deck)
+
+
+def test_kept_lifts_decide_below_the_reach_as_the_full_rows(octagon_deck):
+    # Under a reach of 0.5, each distance below it is the full row's float,
+    # every other one stays at least 0.5, and the nearest lifts of pairs
+    # within it are the full rows' nearest lifts.
+    reach = 0.5
+    pts = presets.default_region("octagon-genus2", 300)
+    xs, ys = pts[:60], pts[60:]
+    full, kept = octagon_deck.lifts(ys), octagon_deck.lifts(ys, reach)
+    assert np.asarray(kept).size == kept.size < full.size // 10
+    want, got = octagon_deck.distances_to(xs, full), octagon_deck.distances_to(xs, kept)
+    below = want < reach
+    assert below.sum() > 300
+    assert np.array_equal(got[below], want[below]) and (got[~below] >= reach).all()
+    i, j = np.nonzero(below)
+    near = [xs[k] for k in i.tolist()]
+    assert np.array_equal(octagon_deck.nearest_lifts(near, kept[j]),
+                          octagon_deck.nearest_lifts(near, full[j]))
+    # Rows selected and joined are the kept lifts of those points.
+    joined = np.concatenate((kept[[2, 0]], kept[5:7]))
+    again = octagon_deck.lifts([ys[2], ys[0], ys[5], ys[6]], reach)
+    assert np.array_equal(joined.counts, again.counts)
+    assert np.array_equal(np.asarray(joined), np.asarray(again))
+    # A point beyond region_radius voids the certificate of the kept lifts.
+    outside = hyperbolic.HPoint(0.0, math.exp(presets.octagon_circumradius() + 0.01))
+    for measure in (octagon_deck.distances_to, octagon_deck.nearest_lifts):
+        with pytest.raises(PreconditionError, match="region_radius"):
+            measure([outside], kept[:1])
 
 
 # The net's longest torus block: a point lifts to 2 entries, and the survivor

@@ -519,6 +519,43 @@ def test_genus4_deck_passes_products_beyond_the_reach_that_fail_normalization():
     assert np.abs(w3[d3 <= keep - 1e-9][:, None] - w[None, :]).min(axis=1).max() < 1e-6
 
 
+def test_genus4_deck_stays_on_the_array_kernel(monkeypatch):
+    # The reach drops the products that fail normalization before they are
+    # normalized, so no chunk falls back to the scalar kernel; the kept set
+    # and the displacements tested are those of the scalar kernel.
+    group, rho = genus4_side_pairings()
+    calls, fallbacks = [], []
+    scalar_kernel = wordballs._scalar_kernel
+
+    def counting(*args):
+        key, rows_of, candidates, elements_of = scalar_kernel(*args)
+
+        def counted(chunk):
+            fallbacks.append(len(chunk))
+            return candidates(chunk)
+        return key, rows_of, counted, elements_of
+
+    def counted(w, p):
+        calls.append(displacement(w, p))
+        return calls[-1]
+
+    monkeypatch.setattr(wordballs, "_scalar_kernel", counting)
+    monkeypatch.setattr(wordballs.hyperbolic, "displacement", counted)
+
+    def run():
+        calls.clear()
+        kept = displacement_pruned_ball(group, HPoint(0.0, 1.0), 2.0 * rho + 1.2, slack=rho)
+        return [((), e) for e in kept], list(calls)
+
+    kept, tested = run()
+    assert fallbacks == [] and len(kept) == 673
+    use_scalar_kernel(monkeypatch)
+    want_kept, want_tested = run()
+    assert len(fallbacks) > 0
+    assert_same_entries(kept, want_kept)
+    assert tested == want_tested
+
+
 def test_keys_beyond_int64_take_the_scalar_kernel(monkeypatch):
     # Entries of g^3 reach e^60: x / GRID leaves int64.
     group = presets.cyclic_hyperbolic(40.0)
